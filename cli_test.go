@@ -1,11 +1,14 @@
 package tara_bench
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tara/internal/query"
 )
 
 // Integration tests that build and exercise the three executables end to
@@ -114,6 +117,23 @@ func TestCLITaraREPL(t *testing.T) {
 	}
 	if !strings.Contains(text, "error:") {
 		t.Errorf("bad query not reported:\n%s", text)
+	}
+}
+
+// TestCLITaraHelpListsEveryClass: `tara> help` is printed from the query
+// package's class table, one line per class.
+func TestCLITaraHelpListsEveryClass(t *testing.T) {
+	bin := buildTool(t, "./cmd/tara")
+	cmd := exec.Command(bin, "-tx", "600", "-items", "40", "-batches", "2")
+	cmd.Stdin = strings.NewReader("help\nquit\n")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("REPL run: %v\n%s", err, out)
+	}
+	for _, c := range query.Classes {
+		if line := fmt.Sprintf("  %-9s %s\n", c.Name, c.Usage); !strings.Contains(string(out), line) {
+			t.Errorf("help lacks %q:\n%s", line, out)
+		}
 	}
 }
 

@@ -9,17 +9,24 @@
 //	tara -load transactions.tsv -batches 5 -q "mine w=0 supp=0.01 conf=0.2"
 //	tara serve -kb retail.kb -addr 127.0.0.1:8775   (runs the tarad daemon)
 //
-// Query syntax (see package tara/internal/query):
+// Query syntax (the rows of query.Classes in package tara/internal/query,
+// which "tara> help" prints):
 //
-//	mine      w=0 supp=0.01 conf=0.2
+//	mine      w=0 supp=0.01 conf=0.2 [lift=1.5]
+//	count     w=0 supp=0.01 conf=0.2
 //	traj      w=3 supp=0.01 conf=0.2 in=0,1,2
 //	compare   w=0,1,2,3 a=0.01,0.2 b=0.05,0.3
-//	recommend w=0 supp=0.01 conf=0.2
+//	recommend w=0 supp=0.01 conf=0.2 [lift=1.5]
 //	rollup    from=0 to=3 supp=0.01 conf=0.2
 //	drill     rule=12 from=0 to=3
 //	about     w=0 supp=0.01 conf=0.2 items=milk,bread
-//	rank      from=0 to=3 supp=0.01 conf=0.2 by=stability k=10
-//	periodic  from=0 to=8 supp=0.01 conf=0.2 period=7 k=10
+//	rank      from=0 to=3 supp=0.01 conf=0.2 [by=stability|coverage|volatility] [k=10]
+//	periodic  from=0 to=8 supp=0.01 conf=0.2 period=7 [k=10]
+//	plot      w=0 [supp=0.01 conf=0.2]
+//	export    w=0 supp=0.01 conf=0.2 file=rules.csv [format=csv|json]
+//	topk      from=0 to=3 supp=0.01 conf=0.2 [by=stability|drift|volatility|coverage] [k=10]
+//	similar   from=0 to=3 ref=0.1,0.2,0.15,0.2 [metric=euclid|max] [supp=0 conf=0] [k=10]
+//	emerging  from=0 supp=0.01 conf=0.2 [to=5]
 package main
 
 import (
@@ -239,19 +246,12 @@ func printStats(fw *tara.Framework) {
 	}
 }
 
+// printHelp lists every query class from the query package's class table.
 func printHelp() {
-	fmt.Fprintln(os.Stderr, `queries:
-  mine      w=0 supp=0.01 conf=0.2
-  traj      w=3 supp=0.01 conf=0.2 in=0,1,2
-  compare   w=0,1,2,3 a=0.01,0.2 b=0.05,0.3
-  recommend w=0 supp=0.01 conf=0.2
-  rollup    from=0 to=3 supp=0.01 conf=0.2
-  drill     rule=12 from=0 to=3
-  about     w=0 supp=0.01 conf=0.2 items=milk,bread
-  rank      from=0 to=3 supp=0.01 conf=0.2 by=stability k=10
-  periodic  from=0 to=8 supp=0.01 conf=0.2 period=7 k=10
-  plot      w=0 [supp=0.01 conf=0.2]
-  export    w=0 supp=0.01 conf=0.2 file=rules.csv [format=csv|json]`)
+	fmt.Fprintln(os.Stderr, "queries:")
+	for _, c := range query.Classes {
+		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.Name, c.Usage)
+	}
 }
 
 func fatal(err error) {

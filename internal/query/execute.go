@@ -3,309 +3,191 @@ package query
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
-	"tara/internal/rules"
+	"tara/internal/eps"
 	"tara/internal/tara"
-	"tara/internal/traj"
+	"tara/internal/txdb"
 )
 
 // Execute runs a parsed query against a framework, writing a human-readable
 // answer (with its response time, as an interactive explorer would show).
+// The answer is the one AnswerTraced computes for the daemon, rendered as
+// text; only export, which writes a local file, has a path of its own.
 func Execute(w io.Writer, f *tara.Framework, q Query) error {
 	start := time.Now()
-	var err error
-	switch q.Kind {
-	case Mine:
-		err = execMine(w, f, q)
-	case Count:
-		err = execCount(w, f, q)
-	case Trajectory:
-		err = execTrajectory(w, f, q)
-	case Compare:
-		err = execCompare(w, f, q)
-	case Recommend:
-		err = execRecommend(w, f, q)
-	case RollUp:
-		err = execRollUp(w, f, q)
-	case DrillDown:
-		err = execDrillDown(w, f, q)
-	case About:
-		err = execAbout(w, f, q)
-	case Rank:
-		err = execRank(w, f, q)
-	case Periodic:
-		err = execPeriodic(w, f, q)
-	case Plot:
-		err = execPlot(w, f, q)
-	case Export:
-		err = execExport(w, f, q)
-	case TopK:
-		err = execTopK(w, f, q)
-	case Similar:
-		err = execSimilar(w, f, q)
-	case Emerging:
-		err = execEmerging(w, f, q)
-	default:
-		err = fmt.Errorf("query: unsupported kind %d", q.Kind)
-	}
-	if err != nil {
-		return err
+	if q.Kind == Export {
+		if err := execExport(w, f, q); err != nil {
+			return err
+		}
+	} else {
+		res, err := AnswerTraced(f, q, nil)
+		if err != nil {
+			return err
+		}
+		if err := render(w, q, res); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(w, "(%v)\n", time.Since(start).Round(time.Microsecond))
 	return nil
 }
 
+// maxListed caps the rows printed for the rule-list classes.
 const maxListed = 25
 
-// pageOf clips s to q's requested page. The annotation (for the header
-// line) is empty when no pagination was asked for, so default output is
-// unchanged.
-func pageOf[T any](q Query, s []T) ([]T, string) {
+// pageNote annotates a header line with the served row range. It is empty
+// when no pagination was asked for, so default output is unchanged.
+func pageNote(q Query, offset, count int) string {
 	if q.Limit == 0 && q.Offset == 0 {
-		return s, ""
+		return ""
 	}
-	lo, hi := q.Page(len(s))
-	return s[lo:hi], fmt.Sprintf(", showing rows [%d,%d)", lo, hi)
+	return fmt.Sprintf(", showing rows [%d,%d)", offset, offset+count)
 }
 
-func printRule(w io.Writer, f *tara.Framework, v tara.RuleView) {
-	fmt.Fprintf(w, "  #%-6d %-50s supp=%.5f conf=%.3f lift=%.2f\n",
-		v.ID, v.Rule.Format(f.ItemDict()), v.Support(), v.Confidence(), v.Lift())
+// ruleText formats a rule from its item names, as rules.Rule.Format does
+// from the dictionary.
+func ruleText(ant, cons []string) string {
+	return "[" + strings.Join(ant, " ") + "] => [" + strings.Join(cons, " ") + "]"
 }
 
-func execMine(w io.Writer, f *tara.Framework, q Query) error {
-	views, err := f.MineFiltered(q.Window, q.MinSupp, q.MinConf, q.MinLift)
-	if err != nil {
-		return err
+// shown cuts a page to the rows the CLI lists; more is the line that stands
+// for the rest (empty when nothing was cut).
+func shown[T any](rows []T) (head []T, more string) {
+	if len(rows) <= maxListed {
+		return rows, ""
 	}
-	extra := ""
-	if q.MinLift > 0 {
-		extra = fmt.Sprintf(", lift>=%g", q.MinLift)
-	}
-	page, note := pageOf(q, views)
-	fmt.Fprintf(w, "%d rules in window %d at (supp>=%g, conf>=%g%s)%s\n", len(views), q.Window, q.MinSupp, q.MinConf, extra, note)
-	for i, v := range page {
-		if i == maxListed {
-			fmt.Fprintf(w, "  ... %d more\n", len(page)-maxListed)
-			break
+	return rows[:maxListed], fmt.Sprintf("  ... %d more\n", len(rows)-maxListed)
+}
+
+// render writes res, the typed answer of q, as the CLI's text. Numbers come
+// from the result; a header that echoes a request parameter the result does
+// not carry (thresholds, examined windows, period) takes it from q.
+func render(w io.Writer, q Query, res any) error {
+	switch res := res.(type) {
+	case *MineStream:
+		note := pageNote(q, res.Offset, res.Count())
+		if q.Kind == About {
+			fmt.Fprintf(w, "%d rules about %v in window %d%s\n", res.Total, q.Items, res.Window, note)
+		} else {
+			extra := ""
+			if q.MinLift > 0 {
+				extra = fmt.Sprintf(", lift>=%g", q.MinLift)
+			}
+			fmt.Fprintf(w, "%d rules in window %d at (supp>=%g, conf>=%g%s)%s\n", res.Total, res.Window, q.MinSupp, q.MinConf, extra, note)
 		}
-		printRule(w, f, v)
-	}
-	return nil
-}
-
-func execCount(w io.Writer, f *tara.Framework, q Query) error {
-	n, err := f.Count(q.Window, q.MinSupp, q.MinConf)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%d rules in window %d at (supp>=%g, conf>=%g)\n", n, q.Window, q.MinSupp, q.MinConf)
-	return nil
-}
-
-func execTrajectory(w io.Writer, f *tara.Framework, q Query) error {
-	trs, err := f.RuleTrajectories(q.Window, q.MinSupp, q.MinConf, q.Windows)
-	if err != nil {
-		return err
-	}
-	page, note := pageOf(q, trs)
-	fmt.Fprintf(w, "%d rule trajectories from window %d examined in %v%s\n", len(trs), q.Window, q.Windows, note)
-	for i, tr := range page {
-		if i == maxListed {
-			fmt.Fprintf(w, "  ... %d more\n", len(page)-maxListed)
-			break
+		views, more := shown(res.views)
+		for _, v := range views {
+			fmt.Fprintf(w, "  #%-6d %-50s supp=%.5f conf=%.3f lift=%.2f\n",
+				v.ID, v.Rule.Format(res.f.ItemDict()), v.Support(), v.Confidence(), v.Lift())
 		}
-		fmt.Fprintf(w, "  #%-6d %s\n", tr.ID, tr.Rule.Format(f.ItemDict()))
-		for j, win := range tr.Windows {
-			if tr.Present[j] {
-				fmt.Fprintf(w, "      w%-3d supp=%.5f conf=%.3f\n", win, tr.Stats[j].Support(), tr.Stats[j].Confidence())
-			} else {
-				fmt.Fprintf(w, "      w%-3d below generation thresholds\n", win)
+		io.WriteString(w, more)
+
+	case CountResult:
+		fmt.Fprintf(w, "%d rules in window %d at (supp>=%g, conf>=%g)\n", res.Count, res.Window, res.MinSupp, res.MinConf)
+
+	case TrajectoryResult:
+		fmt.Fprintf(w, "%d rule trajectories from window %d examined in %v%s\n", res.Total, res.Window, q.Windows, pageNote(q, res.Offset, res.Count))
+		rows, more := shown(res.Rules)
+		for _, r := range rows {
+			fmt.Fprintf(w, "  #%-6d %s\n", r.ID, ruleText(r.Antecedent, r.Consequent))
+			for _, p := range r.Points {
+				if p.Present {
+					fmt.Fprintf(w, "      w%-3d supp=%.5f conf=%.3f\n", p.Window, p.Support, p.Confidence)
+				} else {
+					fmt.Fprintf(w, "      w%-3d below generation thresholds\n", p.Window)
+				}
 			}
 		}
-	}
-	return nil
-}
+		io.WriteString(w, more)
 
-func execCompare(w io.Writer, f *tara.Framework, q Query) error {
-	diffs, err := f.Compare(q.Windows, q.MinSupp, q.MinConf, q.MinSupp2, q.MinConf2)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "comparison of A=(%g,%g) vs B=(%g,%g)\n", q.MinSupp, q.MinConf, q.MinSupp2, q.MinConf2)
-	for _, d := range diffs {
-		fmt.Fprintf(w, "  window %d: %d rules only in A, %d only in B\n", d.Window, len(d.OnlyA), len(d.OnlyB))
-	}
-	return nil
-}
-
-func execRecommend(w io.Writer, f *tara.Framework, q Query) error {
-	if q.MinLift > 0 {
-		reg, err := f.RecommendND(q.Window, q.MinSupp, q.MinConf, q.MinLift)
-		if err != nil {
-			return err
+	case DiffResult:
+		fmt.Fprintf(w, "comparison of A=(%g,%g) vs B=(%g,%g)\n", res.A.MinSupp, res.A.MinConf, res.B.MinSupp, res.B.MinConf)
+		for _, d := range res.Windows {
+			fmt.Fprintf(w, "  window %d: %d rules only in A, %d only in B\n", d.Window, len(d.OnlyA), len(d.OnlyB))
 		}
-		fmt.Fprintf(w, "window %d: stable for", reg.Window)
-		for d, name := range reg.Measures {
+
+	case RegionResult:
+		fmt.Fprintln(w, eps.Region{
+			Window:  res.Window,
+			LowSupp: res.LowSupp, HighSupp: res.HighSupp,
+			LowConf: res.LowConf, HighConf: res.HighConf,
+			CutSupp: res.CutSupp, CutConf: res.CutConf,
+			Empty: res.Empty, NumRules: res.NumRules,
+		})
+
+	case RegionNDResult:
+		fmt.Fprintf(w, "window %d: stable for", res.Window)
+		for d, name := range res.Measures {
 			if d > 0 {
 				fmt.Fprint(w, ",")
 			}
-			fmt.Fprintf(w, " %s in (%.6g,%.6g]", name, reg.Low[d], reg.High[d])
+			fmt.Fprintf(w, " %s in (%.6g,%.6g]", name, res.Low[d], res.High[d])
 		}
-		fmt.Fprintf(w, " — %d rules\n", reg.NumRules)
-		return nil
-	}
-	reg, err := f.Recommend(q.Window, q.MinSupp, q.MinConf)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, reg.String())
-	return nil
-}
+		fmt.Fprintf(w, " — %d rules\n", res.NumRules)
 
-func execRollUp(w io.Writer, f *tara.Framework, q Query) error {
-	out, err := f.MineRollUp(q.From, q.To, q.MinSupp, q.MinConf)
-	if err != nil {
-		return err
-	}
-	page, note := pageOf(q, out)
-	fmt.Fprintf(w, "%d rules over windows [%d,%d] at (supp>=%g, conf>=%g)%s\n", len(out), q.From, q.To, q.MinSupp, q.MinConf, note)
-	for i, r := range page {
-		if i == maxListed {
-			fmt.Fprintf(w, "  ... %d more\n", len(page)-maxListed)
-			break
+	case RollUpResult:
+		fmt.Fprintf(w, "%d rules over windows [%d,%d] at (supp>=%g, conf>=%g)%s\n", res.Total, res.From, res.To, q.MinSupp, q.MinConf, pageNote(q, res.Offset, res.Count))
+		rows, more := shown(res.Rules)
+		for _, r := range rows {
+			fmt.Fprintf(w, "  #%-6d %-50s supp=%.5f conf=%.3f present=%d/%d errBound=%.5f\n",
+				r.ID, ruleText(r.Antecedent, r.Consequent), r.Support, r.Confidence,
+				r.Present, res.To-res.From+1, r.MaxSupportError)
 		}
-		fmt.Fprintf(w, "  #%-6d %-50s supp=%.5f conf=%.3f present=%d/%d errBound=%.5f\n",
-			r.ID, r.Rule.Format(f.ItemDict()), r.Stats.Support(), r.Stats.Confidence(),
-			r.Present, q.To-q.From+1, r.MaxSupportError)
-	}
-	return nil
-}
+		io.WriteString(w, more)
 
-func execDrillDown(w io.Writer, f *tara.Framework, q Query) error {
-	rows, err := f.DrillDown(rules.ID(q.RuleID), q.From, q.To)
-	if err != nil {
-		return err
-	}
-	r, _ := f.RuleDict().Rule(rules.ID(q.RuleID))
-	fmt.Fprintf(w, "rule #%d %s across windows [%d,%d]\n", q.RuleID, r.Format(f.ItemDict()), q.From, q.To)
-	for _, row := range rows {
-		if row.Present {
-			fmt.Fprintf(w, "  w%-3d %v supp=%.5f conf=%.3f\n", row.Window, row.Period, row.Stats.Support(), row.Stats.Confidence())
-		} else {
-			fmt.Fprintf(w, "  w%-3d %v below generation thresholds\n", row.Window, row.Period)
+	case DrillResult:
+		fmt.Fprintf(w, "rule #%d %s across windows [%d,%d]\n", res.RuleID, ruleText(res.Antecedent, res.Consequent), q.From, q.To)
+		for _, row := range res.Windows {
+			period := txdb.Period{Start: row.Start, End: row.End}
+			if row.Present {
+				fmt.Fprintf(w, "  w%-3d %v supp=%.5f conf=%.3f\n", row.Window, period, row.Support, row.Confidence)
+			} else {
+				fmt.Fprintf(w, "  w%-3d %v below generation thresholds\n", row.Window, period)
+			}
 		}
-	}
-	return nil
-}
 
-func execAbout(w io.Writer, f *tara.Framework, q Query) error {
-	views, err := f.RulesAbout(q.Window, q.MinSupp, q.MinConf, q.Items)
-	if err != nil {
-		return err
-	}
-	page, note := pageOf(q, views)
-	fmt.Fprintf(w, "%d rules about %v in window %d%s\n", len(views), q.Items, q.Window, note)
-	for i, v := range page {
-		if i == maxListed {
-			fmt.Fprintf(w, "  ... %d more\n", len(page)-maxListed)
-			break
+	case RankResult:
+		fmt.Fprintf(w, "top %d rules over windows [%d,%d] by %s\n", len(res.Rules), res.From, res.To, res.By)
+		for _, r := range res.Rules {
+			fmt.Fprintf(w, "  #%-6d %-50s coverage=%.2f stability=%.2f stddev=%.5f\n",
+				r.ID, ruleText(r.Antecedent, r.Consequent), r.Coverage, r.Stability, r.StdDev)
 		}
-		printRule(w, f, v)
+
+	case PeriodicResult:
+		fmt.Fprintf(w, "top %d rules over windows [%d,%d] by periodicity at period %d\n", len(res.Rules), res.From, res.To, q.Period)
+		for _, r := range res.Rules {
+			fmt.Fprintf(w, "  #%-6d %-50s score=%.2f phase=%d presence=%v\n",
+				r.ID, ruleText(r.Antecedent, r.Consequent), r.Score, r.BestPhase, r.PhasePresence)
+		}
+
+	case PlotResult:
+		_, err := io.WriteString(w, res.Panorama)
+		return err
+
+	case TopKResult:
+		fmt.Fprintf(w, "top %d trajectories over windows [%d,%d] by %s%s\n", res.Total, res.From, res.To, res.By, pageNote(q, res.Offset, res.Count))
+		for _, r := range res.Rules {
+			fmt.Fprintf(w, "  #%-6d %-50s score=%.4f coverage=%.2f stability=%.2f stddev=%.5f drift=%+.5f\n",
+				r.ID, ruleText(r.Antecedent, r.Consequent), r.Score, r.Coverage, r.Stability, r.StdDev, r.Drift)
+		}
+
+	case SimilarResult:
+		fmt.Fprintf(w, "%d nearest trajectories over windows [%d,%d] by %s (%d pruned)%s\n",
+			res.Total, res.From, res.To, res.Metric, res.Pruned, pageNote(q, res.Offset, res.Count))
+		for _, r := range res.Rules {
+			fmt.Fprintf(w, "  #%-6d %-50s distance=%.6f\n", r.ID, ruleText(r.Antecedent, r.Consequent), r.Distance)
+		}
+
+	case EmergingResult:
+		fmt.Fprintf(w, "%d rules newly qualifying in window %d (none in [%d,%d))%s\n", res.Total, res.To, res.From, res.To, pageNote(q, res.Offset, res.Count))
+		for _, r := range res.Rules {
+			fmt.Fprintf(w, "  #%-6d %-50s supp=%.4f conf=%.2f\n", r.ID, ruleText(r.Antecedent, r.Consequent), r.Support, r.Confidence)
+		}
+
+	default:
+		return fmt.Errorf("query: no text rendering for %T", res)
 	}
 	return nil
-}
-
-func execRank(w io.Writer, f *tara.Framework, q Query) error {
-	m, err := measureByName(q.Measure)
-	if err != nil {
-		return err
-	}
-	out, err := f.RankEvolution(q.From, q.To, q.MinSupp, q.MinConf, m, 0.01, q.TopK)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "top %d rules over windows [%d,%d] by %s\n", len(out), q.From, q.To, q.Measure)
-	for _, s := range out {
-		fmt.Fprintf(w, "  #%-6d %-50s coverage=%.2f stability=%.2f stddev=%.5f\n",
-			s.ID, s.Rule.Format(f.ItemDict()), s.Coverage, s.Stability, s.StdDev)
-	}
-	return nil
-}
-
-func execTopK(w io.Writer, f *tara.Framework, q Query) error {
-	m, err := traj.MeasureByName(q.Measure)
-	if err != nil {
-		return err
-	}
-	out, err := f.TopKTrajectories(q.From, q.To, q.MinSupp, q.MinConf, m, q.TopK)
-	if err != nil {
-		return err
-	}
-	rows, note := pageOf(q, out)
-	fmt.Fprintf(w, "top %d trajectories over windows [%d,%d] by %s%s\n", len(out), q.From, q.To, m, note)
-	for _, s := range rows {
-		fmt.Fprintf(w, "  #%-6d %-50s score=%.4f coverage=%.2f stability=%.2f stddev=%.5f drift=%+.5f\n",
-			s.ID, s.Rule.Format(f.ItemDict()), s.Score, s.Agg.Coverage, s.Agg.Stability, s.Agg.StdDev, s.Agg.Drift)
-	}
-	return nil
-}
-
-func execSimilar(w io.Writer, f *tara.Framework, q Query) error {
-	m, err := traj.MetricByName(q.Metric)
-	if err != nil {
-		return err
-	}
-	out, pruned, err := f.SimilarTrajectories(q.From, q.To, q.Ref, m, q.MinSupp, q.MinConf, q.TopK)
-	if err != nil {
-		return err
-	}
-	rows, note := pageOf(q, out)
-	fmt.Fprintf(w, "%d nearest trajectories over windows [%d,%d] by %s (%d pruned)%s\n",
-		len(out), q.From, q.To, m, pruned, note)
-	for _, s := range rows {
-		fmt.Fprintf(w, "  #%-6d %-50s distance=%.6f\n", s.ID, s.Rule.Format(f.ItemDict()), s.Distance)
-	}
-	return nil
-}
-
-func execEmerging(w io.Writer, f *tara.Framework, q Query) error {
-	out, err := f.EmergingRules(q.From, q.To, q.MinSupp, q.MinConf)
-	if err != nil {
-		return err
-	}
-	to := q.To
-	if to == -1 {
-		to = f.Windows() - 1
-	}
-	rows, note := pageOf(q, out)
-	fmt.Fprintf(w, "%d rules newly qualifying in window %d (none in [%d,%d))%s\n", len(out), to, q.From, to, note)
-	for _, s := range rows {
-		fmt.Fprintf(w, "  #%-6d %-50s supp=%.4f conf=%.2f\n",
-			s.ID, s.Rule.Format(f.ItemDict()), s.Support, s.Confidence)
-	}
-	return nil
-}
-
-func execPeriodic(w io.Writer, f *tara.Framework, q Query) error {
-	out, err := f.FindPeriodic(q.From, q.To, q.MinSupp, q.MinConf, q.Period, q.TopK)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "top %d rules over windows [%d,%d] by periodicity at period %d\n", len(out), q.From, q.To, q.Period)
-	for _, s := range out {
-		fmt.Fprintf(w, "  #%-6d %-50s score=%.2f phase=%d presence=%v\n",
-			s.ID, s.Rule.Format(f.ItemDict()), s.Score, s.BestPhase, s.PhasePresence)
-	}
-	return nil
-}
-
-func execPlot(w io.Writer, f *tara.Framework, q Query) error {
-	slice, err := f.Index().Slice(q.Window)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, slice.Panorama(60, 16, q.MinSupp, q.MinConf))
-	return err
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"tara/internal/tara"
 )
@@ -103,7 +104,7 @@ func execExport(w io.Writer, f *tara.Framework, q Query) error {
 			e := toRuleJSON(f, v)
 			rec := []string{
 				strconv.FormatUint(uint64(e.ID), 10),
-				joinNames(e.Antecedent), joinNames(e.Consequent),
+				strings.Join(e.Antecedent, " "), strings.Join(e.Consequent, " "),
 				strconv.FormatFloat(e.Support, 'g', -1, 64),
 				strconv.FormatFloat(e.Confidence, 'g', -1, 64),
 				strconv.FormatFloat(e.Lift, 'g', -1, 64),
@@ -130,15 +131,4 @@ func execExport(w io.Writer, f *tara.Framework, q Query) error {
 		fmt.Fprintf(w, "exported %d rules from window %d to %s (%s)\n", len(views), q.Window, q.File, q.Format)
 	}
 	return nil
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " "
-		}
-		out += n
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 // Package query defines the typed exploration queries of the TARA Online
 // Explorer and a small textual syntax for them, used by the cmd/tara CLI.
 //
-// Syntax (key=value fields, whitespace separated):
+// Syntax (key=value fields, whitespace separated; one line per row of the
+// Classes table in class.go, which is where a class's name, aliases, HTTP
+// route and this synopsis are declared):
 //
 //	mine      w=0 supp=0.01 conf=0.2 [lift=1.5]
 //	count     w=0 supp=0.01 conf=0.2
@@ -11,16 +13,21 @@
 //	rollup    from=0 to=3 supp=0.01 conf=0.2
 //	drill     rule=12 from=0 to=3
 //	about     w=0 supp=0.01 conf=0.2 items=milk,bread
-//	rank      from=0 to=3 supp=0.01 conf=0.2 by=stability k=10
-//	periodic  from=0 to=8 supp=0.01 conf=0.2 period=7 k=10
+//	rank      from=0 to=3 supp=0.01 conf=0.2 [by=stability|coverage|volatility] [k=10]
+//	periodic  from=0 to=8 supp=0.01 conf=0.2 period=7 [k=10]
 //	plot      w=0 [supp=0.01 conf=0.2]
 //	export    w=0 supp=0.01 conf=0.2 file=rules.csv [format=csv|json]
 //	topk      from=0 to=3 supp=0.01 conf=0.2 [by=stability|drift|volatility|coverage] [k=10]
 //	similar   from=0 to=3 ref=0.1,0.2,0.15,0.2 [metric=euclid|max] [supp=0 conf=0] [k=10]
 //	emerging  from=0 supp=0.01 conf=0.2 [to=5]
 //
-// The last three are the columnar trajectory query classes, answered from
-// the window-major snapshot (internal/traj) rather than per-rule decodes.
+// rank and the last three are answered from the columnar trajectory engine
+// (the window-major snapshot of internal/traj) rather than per-rule decodes.
+// The rule-list classes also take limit= and offset=.
+//
+// Every class has one path from a parsed Query to its answer: AnswerTraced
+// computes the typed result the daemon encodes as JSON, and Execute renders
+// that same result as the CLI's text.
 package query
 
 import (
@@ -149,92 +156,55 @@ func FromValues(op string, values url.Values) (Query, error) {
 
 // build decodes and validates the shared key=value form of a query.
 func build(op string, kv map[string]string) (Query, error) {
-	var q Query
-	switch op {
-	case "mine":
-		q.Kind = Mine
-	case "count":
-		q.Kind = Count
-	case "traj", "trajectory":
-		q.Kind = Trajectory
-	case "compare":
-		q.Kind = Compare
-	case "recommend", "region":
-		q.Kind = Recommend
-	case "rollup":
-		q.Kind = RollUp
-	case "drill", "drilldown":
-		q.Kind = DrillDown
-	case "about":
-		q.Kind = About
-	case "rank":
-		q.Kind = Rank
-	case "periodic":
-		q.Kind = Periodic
-	case "plot", "panorama":
-		q.Kind = Plot
-	case "export":
-		q.Kind = Export
-	case "topk":
-		q.Kind = TopK
-	case "similar":
-		q.Kind = Similar
-	case "emerging":
-		q.Kind = Emerging
-	default:
+	c, ok := classByName(op)
+	if !ok {
 		return Query{}, fmt.Errorf("query: unknown operation %q", op)
 	}
+	q := Query{Kind: c.Kind}
 	var err error
-	getF := func(key string, dst *float64, required bool) {
-		if err != nil {
-			return
-		}
+	// param returns a parameter's text. It reports false when the parameter
+	// is absent — an error if it is required — and once an earlier parameter
+	// has failed, so the first error wins.
+	param := func(key string, required bool) (string, bool) {
 		v, ok := kv[key]
-		if !ok {
-			if required {
-				err = fmt.Errorf("query: missing %s=", key)
-			}
-			return
+		if err == nil && !ok && required {
+			err = fmt.Errorf("query: missing %s=", key)
 		}
-		*dst, err = strconv.ParseFloat(v, 64)
-		if err != nil {
-			err = fmt.Errorf("query: bad %s: %v", key, err)
+		return v, ok && err == nil
+	}
+	getF := func(key string, dst *float64, required bool) {
+		if v, ok := param(key, required); ok {
+			*dst, err = scalar(key, v, parseFloat)
 		}
 	}
 	getI := func(key string, dst *int, required bool) {
-		if err != nil {
-			return
-		}
-		v, ok := kv[key]
-		if !ok {
-			if required {
-				err = fmt.Errorf("query: missing %s=", key)
-			}
-			return
-		}
-		*dst, err = strconv.Atoi(v)
-		if err != nil {
-			err = fmt.Errorf("query: bad %s: %v", key, err)
+		if v, ok := param(key, required); ok {
+			*dst, err = scalar(key, v, strconv.Atoi)
 		}
 	}
 	getIs := func(key string, dst *[]int, required bool) {
-		if err != nil {
-			return
+		if v, ok := param(key, required); ok {
+			*dst, err = list(key, v, strconv.Atoi)
 		}
-		v, ok := kv[key]
-		if !ok {
-			if required {
-				err = fmt.Errorf("query: missing %s=", key)
-			}
-			return
+	}
+	getFs := func(key string, dst *[]float64, required bool) {
+		if v, ok := param(key, required); ok {
+			*dst, err = list(key, v, parseFloat)
 		}
-		for _, part := range strings.Split(v, ",") {
-			n, e := strconv.Atoi(strings.TrimSpace(part))
-			if e != nil {
-				err = fmt.Errorf("query: bad %s: %v", key, e)
-				return
+	}
+	getPair := func(key string, s, c *float64) {
+		v, ok := param(key, false)
+		switch {
+		case err != nil:
+		case !ok:
+			err = fmt.Errorf("query: missing %s=supp,conf", key)
+		case strings.Count(v, ",") != 1:
+			err = fmt.Errorf("query: %s wants supp,conf", key)
+		default:
+			var pair []float64
+			if pair, err = list(key, v, parseFloat); err == nil {
+				*s, *c = pair[0], pair[1]
 			}
-			*dst = append(*dst, n)
 		}
 	}
 	// getPage decodes the shared limit/offset pagination parameters. The
@@ -242,11 +212,8 @@ func build(op string, kv map[string]string) (Query, error) {
 	// plain non-negative integer fitting in int32 is rejected up front with a
 	// typed error — mirroring the NaN/Inf threshold validation below.
 	getPage := func() {
-		parse := func(key string, dst *int) {
-			if err != nil {
-				return
-			}
-			v, ok := kv[key]
+		page := func(key string, dst *int) {
+			v, ok := param(key, false)
 			if !ok {
 				return
 			}
@@ -257,48 +224,8 @@ func build(op string, kv map[string]string) (Query, error) {
 			}
 			*dst = n
 		}
-		parse("limit", &q.Limit)
-		parse("offset", &q.Offset)
-	}
-	getFs := func(key string, dst *[]float64, required bool) {
-		if err != nil {
-			return
-		}
-		v, ok := kv[key]
-		if !ok {
-			if required {
-				err = fmt.Errorf("query: missing %s=", key)
-			}
-			return
-		}
-		for _, part := range strings.Split(v, ",") {
-			f, e := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if e != nil {
-				err = fmt.Errorf("query: bad %s: %v", key, e)
-				return
-			}
-			*dst = append(*dst, f)
-		}
-	}
-	getPair := func(key string, s, c *float64) {
-		if err != nil {
-			return
-		}
-		v, ok := kv[key]
-		if !ok {
-			err = fmt.Errorf("query: missing %s=supp,conf", key)
-			return
-		}
-		parts := strings.Split(v, ",")
-		if len(parts) != 2 {
-			err = fmt.Errorf("query: %s wants supp,conf", key)
-			return
-		}
-		*s, err = strconv.ParseFloat(parts[0], 64)
-		if err != nil {
-			return
-		}
-		*c, err = strconv.ParseFloat(parts[1], 64)
+		page("limit", &q.Limit)
+		page("offset", &q.Offset)
 	}
 
 	switch q.Kind {
@@ -334,9 +261,15 @@ func build(op string, kv map[string]string) (Query, error) {
 		getF("conf", &q.MinConf, true)
 		getPage()
 	case DrillDown:
-		var id int
-		getI("rule", &id, true)
-		q.RuleID = uint32(id)
+		// Rule ids are uint32: a value outside that range is an error, never
+		// another rule's id.
+		if v, ok := param("rule", true); ok {
+			id, e := strconv.ParseUint(v, 10, 32)
+			if e != nil {
+				err = fmt.Errorf("query: rule %q must be an integer in [0, %d]", v, uint32(math.MaxUint32))
+			}
+			q.RuleID = uint32(id)
+		}
 		getI("from", &q.From, true)
 		getI("to", &q.To, true)
 	case About:
@@ -429,6 +362,30 @@ func build(op string, kv map[string]string) (Query, error) {
 		return Query{}, err
 	}
 	return q, nil
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// scalar parses one parameter value, naming the parameter in the error.
+func scalar[T any](key, v string, parse func(string) (T, error)) (T, error) {
+	x, err := parse(v)
+	if err != nil {
+		err = fmt.Errorf("query: bad %s: %v", key, err)
+	}
+	return x, err
+}
+
+// list parses a comma-separated parameter value element by element.
+func list[T any](key, v string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(v, ",") {
+		x, err := scalar(key, strings.TrimSpace(part), parse)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+	}
+	return out, nil
 }
 
 // validate rejects threshold values that no framework can answer sensibly —

@@ -105,6 +105,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRuleIDAndPairErrors pins two decode-time rejections: a rule id
+// outside uint32 must not wrap around to another rule's id, and a malformed
+// a=/b= pair names the field it came from like every other parameter.
+func TestParseRuleIDAndPairErrors(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"drill rule=4294967296 from=0 to=1", `query: rule "4294967296" must be an integer in [0, 4294967295]`},
+		{"drill rule=4294967297 from=0 to=1", `query: rule "4294967297" must be an integer in [0, 4294967295]`},
+		{"drill rule=-1 from=0 to=1", `query: rule "-1" must be an integer in [0, 4294967295]`},
+		{"drill rule=seven from=0 to=1", `query: rule "seven" must be an integer in [0, 4294967295]`},
+		{"drill from=0 to=1", "query: missing rule="},
+		{"compare w=0 a=x,0.2 b=0.05,0.4", `query: bad a: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"compare w=0 a=0.01,0.2 b=0.05,y", `query: bad b: strconv.ParseFloat: parsing "y": invalid syntax`},
+	} {
+		if _, err := Parse(tc.line); err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q): err = %v, want %s", tc.line, err, tc.want)
+		}
+	}
+	q, err := Parse("drill rule=4294967295 from=0 to=1")
+	if err != nil || q.RuleID != 4294967295 {
+		t.Errorf("largest rule id: RuleID = %d, err = %v", q.RuleID, err)
+	}
+}
+
 func buildFramework(t *testing.T) *tara.Framework {
 	t.Helper()
 	r := rand.New(rand.NewSource(5))
@@ -125,33 +148,6 @@ func buildFramework(t *testing.T) *tara.Framework {
 		t.Fatal(err)
 	}
 	return f
-}
-
-func TestExecuteAllKinds(t *testing.T) {
-	f := buildFramework(t)
-	lines := []string{
-		"mine w=0 supp=0.05 conf=0.2",
-		"traj w=3 supp=0.05 conf=0.2 in=0,1,2",
-		"compare w=0,1,2,3 a=0.05,0.2 b=0.2,0.5",
-		"recommend w=0 supp=0.05 conf=0.2",
-		"rollup from=0 to=3 supp=0.05 conf=0.2",
-		"drill rule=0 from=0 to=3",
-		"about w=0 supp=0.05 conf=0.2 items=milk",
-		"rank from=0 to=3 supp=0.05 conf=0.2 by=coverage k=5",
-	}
-	for _, line := range lines {
-		q, err := Parse(line)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", line, err)
-		}
-		var buf bytes.Buffer
-		if err := Execute(&buf, f, q); err != nil {
-			t.Fatalf("Execute(%q): %v", line, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("Execute(%q) produced no output", line)
-		}
-	}
 }
 
 func TestExecuteMineOutput(t *testing.T) {

@@ -9,10 +9,9 @@ import (
 	"tara/internal/traj"
 )
 
-// Structured, JSON-serializable answers for every query class, used by the
-// tarad daemon. Execute renders human-readable text for the CLI; Answer
-// returns the same information as typed values so HTTP handlers can encode
-// them directly.
+// Structured, JSON-serializable answers for every query class. Answer is the
+// one place a class is executed: the tarad daemon encodes its typed values as
+// JSON, and Execute renders the same values as the CLI's text.
 
 // Setting is one (minsupp, minconf) request point.
 type Setting struct {
@@ -380,18 +379,7 @@ func AnswerTraced(f *tara.Framework, q Query, tr *obs.Trace) (any, error) {
 		res := RollUpResult{From: q.From, To: q.To, Total: len(out), Offset: lo, Count: hi - lo, Rules: make([]RollUpRow, hi-lo)}
 		for i, r := range out[lo:hi] {
 			res.Rules[i] = RollUpRow{
-				RuleJSON: RuleJSON{
-					ID:         uint32(r.ID),
-					Antecedent: itemNames(f, r.Rule.Ant),
-					Consequent: itemNames(f, r.Rule.Cons),
-					Support:    r.Stats.Support(),
-					Confidence: r.Stats.Confidence(),
-					Lift:       r.Stats.Lift(),
-					CountXY:    r.Stats.CountXY,
-					CountX:     r.Stats.CountX,
-					CountY:     r.Stats.CountY,
-					N:          r.Stats.N,
-				},
+				RuleJSON:        toRuleJSON(f, tara.RuleView{ID: r.ID, Rule: r.Rule, Stats: r.Stats}),
 				Present:         r.Present,
 				MaxSupportError: r.MaxSupportError,
 			}

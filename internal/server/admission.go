@@ -23,12 +23,13 @@ import (
 //
 //   - qosSem: a semaphore whose limit can change at runtime, with weighted
 //     per-class slot guarantees. Query classes are grouped into QoS classes
-//     (interactive: mine/count/recommend/drill — the cheap, byte-cacheable
-//     point lookups; analytic: trajectory/rollup/diff/... — the multi-window
-//     scans). Each class is guaranteed a weighted share of the limit; a
-//     class past its share may borrow idle slots, but never the last free
-//     slot of a class still below its guarantee — so during a shed episode
-//     the expensive classes cannot starve the cheap ones, while an idle
+//     by the Interactive column of query.Classes (interactive:
+//     mine/count/recommend/drill — the cheap, byte-cacheable point lookups;
+//     analytic: every other class — the multi-window scans). Each class is
+//     guaranteed a weighted share of the limit; a class past its share may
+//     borrow idle slots, but never the last free slot of a class still
+//     below its guarantee — so during a shed episode the expensive classes
+//     cannot starve the cheap ones, while an idle
 //     class's share stays available for borrowing (work-conserving).
 //
 //   - aimdController: additive-increase / multiplicative-decrease on the
@@ -58,17 +59,6 @@ var qosClasses = [numQoSClasses]struct {
 }{
 	{name: "interactive", weight: 3},
 	{name: "analytic", weight: 1},
-}
-
-// qosClassOf maps a query op (the textual-syntax class name used at
-// registration) to its QoS class. Unknown ops count as analytic — the
-// conservative side for an op someone adds without updating this table.
-func qosClassOf(op string) int {
-	switch op {
-	case "mine", "count", "recommend", "drill":
-		return qosInteractive
-	}
-	return qosAnalytic
 }
 
 // qosCounters is one QoS class's admission bookkeeping. Ordering discipline

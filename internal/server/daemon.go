@@ -59,9 +59,6 @@ func Run(args []string, stderr io.Writer) error {
 		gzipMin  = fs.Int("gzipmin", 0, "smallest response body (bytes) to gzip (0 = default 1024)")
 		drain    = fs.Duration("drain", 15*time.Second, "max time to drain in-flight requests on shutdown")
 	)
-	// -slowring is the documented name for the slow-trace ring size;
-	// -slowtraces remains as the original spelling. Both set the same value.
-	fs.IntVar(slowN, "slowring", 32, "alias for -slowtraces")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -2,7 +2,10 @@
 // HTTP/JSON front end over a read-only tara.Framework knowledge base.
 //
 // Every exploration class of the paper is an endpoint (GET or POST form),
-// taking the same parameters as the cmd/tara textual syntax:
+// taking the same parameters as the cmd/tara textual syntax. The routes are
+// not declared here: New registers one for every row of query.Classes that
+// names a Route, so a class added to that table is served without a change
+// in this package.
 //
 //	/mine        w=0 supp=0.01 conf=0.2 [lift=1.5]     traditional mining
 //	/count       w=0 supp=0.01 conf=0.2                qualifying-ruleset cardinality
@@ -19,14 +22,16 @@
 //	/similar     from=0 to=3 ref=0.1,0.2,… metric=…    trajectory similarity search
 //	/emerging    from=0 supp=… conf=… [to=5]           newly qualifying rules
 //
-// The last three answer from the columnar trajectory engine (internal/traj):
-// a window-major snapshot of the whole archive, rebuilt lazily per KB
-// generation, whose aggregate scans, bounded-heap ranking, envelope-pruned
-// similarity search and emergence detection run over contiguous float64
-// columns instead of per-rule payload decodes. Their answers range over
-// committed (immutable) windows only, so they byte-cache under their raw
-// parameters; /emerging without to= follows the newest window and is keyed
-// against the resolved index.
+// /rank and the last three answer from the columnar trajectory engine
+// (internal/traj): a window-major snapshot of the whole archive, rebuilt
+// lazily per KB generation, whose aggregate scans, bounded-heap ranking,
+// envelope-pruned similarity search and emergence detection run over
+// contiguous float64 columns instead of per-rule payload decodes. /rank is
+// /topk restricted to stability, coverage and volatility, without paging.
+// The answers of /topk, /similar and /emerging range over committed
+// (immutable) windows only, so they byte-cache under their raw parameters;
+// /emerging without to= follows the newest window and is keyed against the
+// resolved index.
 //
 // plus /stats (knowledge-base summary), /healthz, and /metrics with
 // per-endpoint request counters, latency quantiles (p50/p95/p99), per-stage
@@ -65,9 +70,10 @@
 //
 // Requests are served concurrently; the Framework's query methods are safe
 // against a writer appending windows, so a daemon can stay up while the
-// knowledge base grows. Each request is bounded by a timeout, and a
-// fixed-size in-flight limiter sheds excess load with 429 instead of
-// queueing without bound.
+// knowledge base grows. Each request is bounded by a timeout, and an
+// in-flight limiter sheds excess load with 429 instead of queueing without
+// bound: a fixed cap in static admission mode, a latency-feedback limit with
+// per-class guarantees in adaptive mode (admission.go).
 package server
 
 import (
@@ -103,12 +109,13 @@ type Config struct {
 	// requests are shed with 429. Defaults to 256. Negative disables the
 	// limiter. In adaptive mode this is the controller's hard upper bound.
 	MaxInFlight int
-	// AdmissionMode selects the in-flight admission policy: "static" (the
-	// default, and the legacy behavior: a fixed MaxInFlight cap) or
-	// "adaptive" (an AIMD latency-feedback controller moves the limit
-	// within [MinLimit, MaxInFlight] and weighted per-QoS-class guarantees
-	// keep cheap query classes schedulable during shed episodes; see
-	// admission.go).
+	// AdmissionMode selects the in-flight admission policy: "static" (a
+	// fixed MaxInFlight cap) or "adaptive" (an AIMD latency-feedback
+	// controller moves the limit within [MinLimit, MaxInFlight] and weighted
+	// per-QoS-class guarantees keep cheap query classes schedulable during
+	// shed episodes; see admission.go). The zero value means static for a
+	// Server built through this library; the tarad daemon's -admission flag
+	// defaults to adaptive.
 	AdmissionMode string
 	// MinLimit is the adaptive controller's lower bound (and cold-start
 	// limit). Zero selects 2; ignored in static mode.
@@ -193,25 +200,6 @@ type Server struct {
 	encodeHook func()
 }
 
-// endpoints maps each HTTP route to the query operation it decodes as (the
-// same op names the textual syntax uses).
-var endpoints = []struct{ path, op string }{
-	{"/mine", "mine"},
-	{"/count", "count"},
-	{"/trajectory", "traj"},
-	{"/diff", "compare"},
-	{"/recommend", "recommend"},
-	{"/rollup", "rollup"},
-	{"/drill", "drill"},
-	{"/content", "about"},
-	{"/rank", "rank"},
-	{"/periodic", "periodic"},
-	{"/plot", "plot"},
-	{"/topk", "topk"},
-	{"/similar", "similar"},
-	{"/emerging", "emerging"},
-}
-
 // New builds a Server from cfg.
 func New(cfg Config) (*Server, error) {
 	if cfg.Framework == nil {
@@ -294,14 +282,25 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics.admission = s.admissionSnapshot
 
-	for _, e := range endpoints {
-		name, op := e.path[1:], e.op
+	// One route per served class of the query package's class table: the
+	// endpoint is named after the route, decodes as the class's operation
+	// name (which also labels it on /metrics and /debug/slow) and is admitted
+	// under the class's QoS class.
+	for _, c := range query.Classes {
+		if c.Route == "" {
+			continue // CLI-only
+		}
+		name, op := c.Route[1:], c.Name
+		qc := qosAnalytic
+		if c.Interactive {
+			qc = qosInteractive
+		}
 		st := s.metrics.endpoint(name, op)
 		inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			s.answer(name, op, st, w, r)
+			s.answer(name, op, qc, st, w, r)
 		})
 		h := http.TimeoutHandler(inner, timeout, `{"error":"request timed out"}`+"\n")
-		s.mux.Handle(e.path, s.instrument(name, st, s.cacheFirst(op, st, h)))
+		s.mux.Handle(c.Route, s.instrument(name, st, s.cacheFirst(op, st, h)))
 	}
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -447,7 +446,7 @@ func (s *Server) cacheFirst(op string, st *endpointStats, h http.Handler) http.H
 }
 
 // answer decodes, executes and encodes one query request.
-func (s *Server) answer(name, op string, st *endpointStats, w http.ResponseWriter, r *http.Request) {
+func (s *Server) answer(name, op string, qc int, st *endpointStats, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
@@ -455,7 +454,6 @@ func (s *Server) answer(name, op string, st *endpointStats, w http.ResponseWrite
 	tr := obs.FromContext(r.Context())
 	switch {
 	case s.adm != nil:
-		qc := qosClassOf(op)
 		if !s.adm.acquire(r.Context(), qc, s.queueWait) {
 			s.metrics.shed.Add(1)
 			st.shed.Add(1)

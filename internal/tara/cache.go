@@ -118,8 +118,12 @@ func (c *queryCache) get(k cacheKey) (any, bool) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	el, ok := sh.byKey[k]
+	var v any
 	if ok {
 		sh.lru.MoveToFront(el)
+		// Read under the lock: put overwrites an existing entry's value in
+		// place (a trajectory aggregate re-stored for a newer snapshot).
+		v = el.Value.(*cacheEntry).val
 	}
 	sh.mu.Unlock()
 	if !ok {
@@ -127,7 +131,7 @@ func (c *queryCache) get(k cacheKey) (any, bool) {
 		return nil, false
 	}
 	c.hits[k.class].Add(1)
-	return el.Value.(*cacheEntry).val, true
+	return v, true
 }
 
 // put stores v under k, evicting the shard's least-recent entry when full.

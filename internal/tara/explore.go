@@ -269,14 +269,7 @@ func (f *Framework) MineMerged(w int, minSupp, minConf float64) ([]RuleView, err
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RuleView, len(ids))
-	for i, id := range ids {
-		out[i], err = f.view(id, w)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return f.materializeViews(ids, w)
 }
 
 // checkGenThresholds rejects requests below the pregeneration thresholds,
@@ -674,106 +667,5 @@ func (f *Framework) RulesAbout(w int, minSupp, minConf float64, names []string) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RuleView, len(ids))
-	for i, id := range ids {
-		out[i], err = f.view(id, w)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// EvolutionMeasure selects how EvolutionSummaries are ranked.
-type EvolutionMeasure int
-
-const (
-	// ByStability ranks most-stable first (highest fraction of small
-	// support deltas).
-	ByStability EvolutionMeasure = iota
-	// ByCoverage ranks rules present in the most windows first.
-	ByCoverage
-	// ByVolatility ranks the most fluctuating rules first (highest support
-	// standard deviation) — the "most significant change" exploration.
-	ByVolatility
-)
-
-// EvolutionSummary scores one rule's behaviour across a window range.
-type EvolutionSummary struct {
-	ID        rules.ID
-	Rule      rules.Rule
-	Coverage  float64
-	Stability float64
-	StdDev    float64
-}
-
-// RankEvolution finds rules satisfying the setting in at least one window of
-// [from, to] and ranks them by the chosen evolution measure, returning the
-// top k (all if k <= 0). stabilityEps is the support-delta tolerance used by
-// the stability measure.
-func (f *Framework) RankEvolution(from, to int, minSupp, minConf float64, m EvolutionMeasure, stabilityEps float64, k int) ([]EvolutionSummary, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := f.checkGenThresholds(minSupp, minConf); err != nil {
-		return nil, err
-	}
-	if from < 0 || to >= len(f.windows) || from > to {
-		return nil, fmt.Errorf("tara: evolution range [%d,%d] out of bounds (have %d windows)", from, to, len(f.windows))
-	}
-	seen := map[rules.ID]bool{}
-	for w := from; w <= to; w++ {
-		slice, err := f.index.Slice(w)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range slice.Rules(minSupp, minConf) {
-			seen[id] = true
-		}
-	}
-	out := make([]EvolutionSummary, 0, len(seen))
-	for id := range seen {
-		tr, err := f.arch.Trajectory(id, from, to)
-		if err != nil {
-			return nil, err
-		}
-		r, _ := f.ruleDict.Rule(id)
-		// Evolution materializes the support series once and derives all
-		// three measures from shared moments; calling Coverage, Stability
-		// and SupportStdDev separately would rebuild the series (and its
-		// mean) per measure for every ranked rule.
-		cov, stab, sd := tr.Evolution(stabilityEps)
-		out = append(out, EvolutionSummary{
-			ID:        id,
-			Rule:      r,
-			Coverage:  cov,
-			Stability: stab,
-			StdDev:    sd,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		var less bool
-		switch m {
-		case ByCoverage:
-			less = a.Coverage > b.Coverage
-			if a.Coverage == b.Coverage {
-				return a.ID < b.ID
-			}
-		case ByVolatility:
-			less = a.StdDev > b.StdDev
-			if a.StdDev == b.StdDev {
-				return a.ID < b.ID
-			}
-		default: // ByStability
-			less = a.Stability > b.Stability
-			if a.Stability == b.Stability {
-				return a.ID < b.ID
-			}
-		}
-		return less
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out, nil
+	return f.materializeViews(ids, w)
 }

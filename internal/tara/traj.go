@@ -9,8 +9,8 @@ import (
 	"tara/internal/traj"
 )
 
-// The trajectory query classes (/topk, /similar, /emerging) answered from
-// the columnar trajectory engine. The framework keeps at most one columnar
+// The trajectory query classes (/rank, /topk, /similar, /emerging) answered
+// from the columnar trajectory engine. The framework keeps at most one columnar
 // snapshot — the window-major transpose of the archive — cached next to the
 // knowledge base, stamped with the KB generation that produced it. Windows
 // are append-only, so the snapshot is either current or discarded whole:
@@ -112,6 +112,14 @@ func (f *Framework) TopKTrajectories(from, to int, minSupp, minConf float64, m t
 func (f *Framework) TopKTrajectoriesTraced(tr *obs.Trace, from, to int, minSupp, minConf float64, m traj.Measure, k int) ([]TrajRank, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	return f.rankLocked(tr, from, to, minSupp, minConf, m, trajStabilityEps, k)
+}
+
+// rankLocked is the one ranking engine behind TopKTrajectories and
+// RankEvolution: the (memoized) aggregate matrix of [from, to] at stability
+// tolerance eps, ranked by m through the bounded heap. Callers hold f.mu for
+// reading.
+func (f *Framework) rankLocked(tr *obs.Trace, from, to int, minSupp, minConf float64, m traj.Measure, eps float64, k int) ([]TrajRank, error) {
 	if err := f.checkGenThresholds(minSupp, minConf); err != nil {
 		return nil, err
 	}
@@ -119,7 +127,7 @@ func (f *Framework) TopKTrajectoriesTraced(tr *obs.Trace, from, to int, minSupp,
 	if err != nil {
 		return nil, err
 	}
-	aggs, err := f.trajAggregatesLocked(tr, s, from, to, trajStabilityEps)
+	aggs, err := f.trajAggregatesLocked(tr, s, from, to, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -138,6 +146,58 @@ func (f *Framework) TopKTrajectoriesTraced(tr *obs.Trace, from, to int, minSupp,
 			return nil, fmt.Errorf("tara: unknown rule id %d", c.ID)
 		}
 		out[i] = TrajRank{ID: c.ID, Rule: r, Score: c.Score, Agg: c.Agg}
+	}
+	return out, nil
+}
+
+// EvolutionMeasure selects how EvolutionSummaries are ranked.
+type EvolutionMeasure int
+
+const (
+	// ByStability ranks most-stable first (highest fraction of small
+	// support deltas).
+	ByStability EvolutionMeasure = iota
+	// ByCoverage ranks rules present in the most windows first.
+	ByCoverage
+	// ByVolatility ranks the most fluctuating rules first (highest support
+	// standard deviation) — the "most significant change" exploration.
+	ByVolatility
+)
+
+// EvolutionSummary scores one rule's behaviour across a window range.
+type EvolutionSummary struct {
+	ID        rules.ID
+	Rule      rules.Rule
+	Coverage  float64
+	Stability float64
+	StdDev    float64
+}
+
+// RankEvolution finds rules satisfying the setting in at least one window of
+// [from, to] and ranks them by the chosen evolution measure, returning the
+// top k (all if k <= 0). stabilityEps is the support-delta tolerance used by
+// the stability measure. It is TopKTrajectories with a caller-chosen
+// tolerance, restricted to the three measures of Definition 10.
+func (f *Framework) RankEvolution(from, to int, minSupp, minConf float64, m EvolutionMeasure, stabilityEps float64, k int) ([]EvolutionSummary, error) {
+	tm := traj.ByStability
+	switch m {
+	case ByCoverage:
+		tm = traj.ByCoverage
+	case ByVolatility:
+		tm = traj.ByVolatility
+	}
+	if k <= 0 {
+		k = math.MaxInt
+	}
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	ranked, err := f.rankLocked(nil, from, to, minSupp, minConf, tm, stabilityEps, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]EvolutionSummary, len(ranked))
+	for i, r := range ranked {
+		out[i] = EvolutionSummary{ID: r.ID, Rule: r.Rule, Coverage: r.Agg.Coverage, Stability: r.Agg.Stability, StdDev: r.Agg.StdDev}
 	}
 	return out, nil
 }
