@@ -1,12 +1,14 @@
 package tara_bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tara/internal/query"
 )
@@ -172,10 +174,22 @@ func TestCLITarabench(t *testing.T) {
 	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "0.0002") {
 		t.Errorf("unexpected output:\n%s", out)
 	}
-	// Unknown experiment must fail with a clear message.
-	cmd := exec.Command(bin, "-exp", "fig99")
-	combined, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Errorf("unknown experiment accepted:\n%s", combined)
+	// An unknown experiment — made up, or one of the performance experiments
+	// benchmark/ replaced — must fail with a clear message.
+	for _, id := range []string{"fig99", "online"} {
+		combined, err := exec.Command(bin, "-exp", id).CombinedOutput()
+		if err == nil || !strings.Contains(string(combined), "unknown experiment") {
+			t.Errorf("-exp %s: err=%v, want the unknown-experiment failure:\n%s", id, err, combined)
+		}
+	}
+	// A rate the open-loop generator cannot run at is refused at once (it
+	// used to hang the arrival loop), naming the value.
+	for _, rates := range []string{"0,100", "-1", "NaN", "+Inf"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		combined, err := exec.CommandContext(ctx, bin, "-exp", "load", "-loadrates", rates).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(combined), "-loadrates") {
+			t.Errorf("-loadrates %s: err=%v, want a -loadrates error:\n%s", rates, err, combined)
+		}
 	}
 }

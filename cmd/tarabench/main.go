@@ -1,20 +1,25 @@
 // Command tarabench regenerates the paper's experimental tables and figures
-// (Figures 6–12, Tables 2–4, and the roll-up bound validation) on synthetic
-// analogues of the paper's datasets.
+// (Figures 6–12, Tables 1–4, and the roll-up bound validation) on synthetic
+// analogues of the paper's datasets, and runs the open-loop load experiment
+// against the daemon's handler chain.
 //
 // Usage:
 //
 //	tarabench -exp fig7             # one experiment
-//	tarabench -exp all -scale 0.5   # everything, at half scale
+//	tarabench -exp all -scale 0.5   # the paper's whole evaluation, at half scale
+//	tarabench -exp load -json out.json
 //
-// Output is plain text: one row per (dataset, parameter point) with one
-// column per system, directly comparable to the paper's plots.
+// Paper experiments print plain text: one row per (dataset, parameter point)
+// with one column per system, directly comparable to the paper's plots.
+// Performance of the shipped binaries is measured by benchmark/run.sh, not
+// here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -24,45 +29,28 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: "+strings.Join(harness.ExperimentIDs(), ", ")+", or all")
+	exp := flag.String("exp", "all", "experiment id: "+strings.Join(harness.ExperimentIDs(), ", ")+", all (every paper experiment), or load")
 	scale := flag.Float64("scale", 1.0, "dataset scale factor (1.0 = repository default sizes)")
 	format := flag.String("format", "text", "output format: text, or csv (fig7/fig8/fig10/fig11 only)")
-	jsonPath := flag.String("json", "", "also write the experiment's JSON report to this file (online and build experiments)")
-	trace := flag.Bool("trace", false, "with -exp online: also print the mean per-stage Mine breakdown (cold and warm)")
-	parallel := flag.Int("parallel", 0, "with -exp build: top parallelism measured (0 = GOMAXPROCS)")
+	jsonPath := flag.String("json", "", "with -exp load: also write the JSON report to this file")
 	loadSec := flag.Float64("loadsec", 0, "with -exp load: seconds per phase (0 = default 3s)")
 	loadRates := flag.String("loadrates", "", "with -exp load: comma-separated offered QPS rates replacing calibration (e.g. 500,4000)")
-	loadProfile := flag.Bool("loadprofile", false, "with -exp load: capture a CPU profile during the peak phase and report hot functions")
 	loadAdm := flag.String("loadadmission", "adaptive", "with -exp load: admission modes to measure — adaptive (static phases plus the adaptive-admission section) or static (legacy phases only)")
 	flag.Parse()
 
 	start := time.Now()
 	var err error
 	switch {
-	case *jsonPath != "" && *exp != "online" && *exp != "build" && *exp != "coldstart" && *exp != "load" && *exp != "traj":
-		err = fmt.Errorf("-json is only meaningful with -exp online, build, coldstart, load or traj (got %q)", *exp)
-	case *trace && *exp != "online":
-		err = fmt.Errorf("-trace is only meaningful with -exp online (got %q)", *exp)
-	case *jsonPath != "" && *exp == "build":
-		err = runBuildJSON(*jsonPath, *scale, *parallel)
-	case *jsonPath != "" && *exp == "coldstart":
-		err = runColdStartJSON(*jsonPath, *scale)
-	case *jsonPath != "" && *exp == "traj":
-		err = runTrajJSON(*jsonPath, *scale)
 	case *exp == "load":
-		err = runLoad(*jsonPath, *scale, *loadSec, *loadRates, *loadProfile, *loadAdm)
+		err = runLoad(*jsonPath, *scale, *loadSec, *loadRates, *loadAdm)
 	case *jsonPath != "":
-		// One measured report feeds both the table and the JSON artifact.
-		err = runOnlineJSON(*jsonPath, *scale)
+		err = fmt.Errorf("-json is only meaningful with -exp load (got %q)", *exp)
 	case *format == "text":
 		err = harness.Run(*exp, os.Stdout, *scale)
 	case *format == "csv":
 		err = harness.RunCSV(*exp, os.Stdout, *scale)
 	default:
 		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err == nil && *trace {
-		err = runOnlineTrace(*scale)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tarabench:", err)
@@ -71,65 +59,11 @@ func main() {
 	fmt.Printf("\ncompleted %s at scale %g in %v\n", *exp, *scale, time.Since(start).Round(time.Millisecond))
 }
 
-// runOnlineJSON runs the online experiment once, printing its table and
-// storing the same measurements as a structured report (the checked-in
-// BENCH_online_query.json is produced this way).
-func runOnlineJSON(path string, scale float64) error {
-	rep, err := harness.OnlineBench(scale)
-	if err != nil {
-		return err
-	}
-	if err := harness.PrintOnline(os.Stdout, rep); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// runBuildJSON runs the offline-build experiment once, printing its table
-// and storing the measurements as a structured report (the checked-in
-// BENCH_build.json is produced this way).
-func runBuildJSON(path string, scale float64, maxPar int) error {
-	rep, err := harness.BuildBench(scale, maxPar)
-	if err != nil {
-		return err
-	}
-	if err := harness.PrintBuild(os.Stdout, rep); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// runColdStartJSON runs the cold-start experiment once, printing its table
-// and storing the measurements as a structured report (the checked-in
-// BENCH_coldstart.json is produced this way).
-func runColdStartJSON(path string, scale float64) error {
-	rep, err := harness.ColdStartBench(scale)
-	if err != nil {
-		return err
-	}
-	if err := harness.PrintColdStart(os.Stdout, rep); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
 // runLoad runs the open-loop load experiment, printing its phase tables and
 // optionally storing the structured report (the checked-in BENCH_load.json
-// is produced this way, with -loadprofile).
-func runLoad(jsonPath string, scale, loadSec float64, ratesCSV string, profile bool, admission string) error {
-	opts := harness.LoadOptions{Profile: profile, Admission: admission}
+// is produced this way).
+func runLoad(jsonPath string, scale, loadSec float64, ratesCSV string, admission string) error {
+	opts := harness.LoadOptions{Admission: admission}
 	if loadSec > 0 {
 		opts.PhaseDuration = time.Duration(loadSec * float64(time.Second))
 	}
@@ -138,6 +72,9 @@ func runLoad(jsonPath string, scale, loadSec float64, ratesCSV string, profile b
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
 				return fmt.Errorf("-loadrates: %w", err)
+			}
+			if !(v > 0) || math.IsInf(v, 0) {
+				return fmt.Errorf("-loadrates: %q is not a finite rate > 0", f)
 			}
 			opts.Rates = append(opts.Rates, v)
 		}
@@ -157,32 +94,4 @@ func runLoad(jsonPath string, scale, loadSec float64, ratesCSV string, profile b
 		return err
 	}
 	return os.WriteFile(jsonPath, append(b, '\n'), 0o644)
-}
-
-// runOnlineTrace prints the per-stage Mine breakdown (-trace).
-func runOnlineTrace(scale float64) error {
-	rep, err := harness.OnlineTrace(scale)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	return harness.PrintOnlineTrace(os.Stdout, rep)
-}
-
-// runTrajJSON runs the trajectory experiment once, printing its table and
-// storing the measurements as a structured report (the checked-in
-// BENCH_trajectory.json is produced this way).
-func runTrajJSON(path string, scale float64) error {
-	rep, err := harness.TrajBench(scale)
-	if err != nil {
-		return err
-	}
-	if err := harness.PrintTraj(os.Stdout, rep); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

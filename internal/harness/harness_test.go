@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -197,11 +198,17 @@ func TestRunDispatcher(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Error("no output from tab4")
 	}
-	if err := Run("fig99", &buf, 1); err == nil {
-		t.Error("unknown experiment accepted")
+	// Neither a made-up id nor a performance experiment benchmark/ replaced
+	// nor the open-loop load experiment (cmd/tarabench dispatches that one
+	// itself) is a paper experiment, so "all" runs none of them.
+	for _, id := range []string{"fig99", "online", "load"} {
+		if err := Run(id, &buf, 1); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("Run(%q) = %v, want the unknown-experiment error", id, err)
+		}
 	}
-	if len(ExperimentIDs()) != len(Experiments) {
-		t.Error("ExperimentIDs incomplete")
+	want := []string{"fig10", "fig11", "fig12", "fig6", "fig7", "fig8", "fig9", "rollup", "tab1", "tab2", "tab3", "tab4"}
+	if got := ExperimentIDs(); !slices.Equal(got, want) {
+		t.Errorf("ExperimentIDs() = %v, want the paper's experiments %v", got, want)
 	}
 }
 

@@ -1,14 +1,13 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,7 +123,8 @@ type LoadOptions struct {
 	PhaseDuration time.Duration
 	// Rates, when non-empty, are explicit offered rates (QPS) replacing the
 	// calibrated below/above-saturation pair. Each rate becomes one warm
-	// phase (the cold phase always runs at the first rate).
+	// phase (the cold phase always runs at the first rate). Every rate must
+	// be finite and > 0.
 	Rates []float64
 	// MaxInFlight caps the server's concurrently executing queries. Default
 	// GOMAXPROCS: queries are CPU-bound, so one slot per core is the point
@@ -140,9 +140,6 @@ type LoadOptions struct {
 	QueueWait time.Duration
 	// Timeout is the server's per-request timeout. Default 2s.
 	Timeout time.Duration
-	// Profile captures a CPU profile during the overload phase and reports
-	// hot-function attribution.
-	Profile bool
 	// Seed fixes the workload; 0 selects the default.
 	Seed int64
 	// Admission selects the experiment's scope: "" or "adaptive" (the
@@ -153,7 +150,16 @@ type LoadOptions struct {
 	Admission string
 }
 
-func (o *LoadOptions) defaults() {
+// defaults fills the zero fields and rejects rates the arrival loop cannot
+// run at: the next arrival is ExpFloat64()/rate away, so a zero, negative or
+// non-finite rate moves the arrival clock backwards (or not at all) and the
+// phase never ends.
+func (o *LoadOptions) defaults() error {
+	for _, r := range o.Rates {
+		if !(r > 0) || math.IsInf(r, 0) {
+			return fmt.Errorf("harness: load: offered rate %v is not a finite rate > 0", r)
+		}
+	}
 	if o.PhaseDuration <= 0 {
 		o.PhaseDuration = 3 * time.Second
 	}
@@ -169,6 +175,7 @@ func (o *LoadOptions) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 7
 	}
+	return nil
 }
 
 // LoadClassStats is one query class's outcome within one phase. Latency
@@ -238,9 +245,6 @@ type LoadReport struct {
 	// a cold server under the AIMD controller (nil when Admission:"static"
 	// skipped it).
 	Adaptive *AdaptiveLoadReport `json:"adaptive,omitempty"`
-	// Profile is the overload-phase CPU profile's hot-function attribution
-	// (nil unless profiling was requested).
-	Profile *ProfileReport `json:"profile,omitempty"`
 }
 
 // LimitSample is one point of the adaptive controller's limit trajectory,
@@ -542,9 +546,22 @@ func fillLatency(st *LoadClassStats, ds []time.Duration) {
 	st.MaxMicros = float64(ds[len(ds)-1]) / 1e3
 }
 
+// onlinePointsFor draws the pool of (minsupp, minconf) request points,
+// uniform over the unit square.
+func onlinePointsFor(count int, seed int64) [][2]float64 {
+	r := rand.New(rand.NewSource(seed))
+	pts := make([][2]float64, count)
+	for i := range pts {
+		pts[i] = [2]float64{r.Float64(), r.Float64()}
+	}
+	return pts
+}
+
 // LoadBench runs the load experiment and returns its report.
 func LoadBench(scale float64, opts LoadOptions) (*LoadReport, error) {
-	opts.defaults()
+	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
 	if scale <= 0 {
 		scale = 1
 	}
@@ -616,21 +633,6 @@ func LoadBench(scale float64, opts LoadOptions) (*LoadReport, error) {
 			name = "warm-below"
 		case len(rates) == 2 && i == 1:
 			name = "warm-above"
-		}
-		if opts.Profile && i == len(rates)-1 {
-			// Profile the last (peak) phase: StartCPUProfile can fail when
-			// another profile is live; the report records that instead of
-			// failing the run.
-			var buf bytes.Buffer
-			if err := pprof.StartCPUProfile(&buf); err != nil {
-				rep.Profile = &ProfileReport{Err: err.Error()}
-			} else {
-				ph := runPhase(h, g, name, rate, opts.PhaseDuration, qc, bc)
-				pprof.StopCPUProfile()
-				rep.Phases = append(rep.Phases, ph)
-				rep.Profile = ParseProfile(buf.Bytes(), 10)
-				continue
-			}
 		}
 		rep.Phases = append(rep.Phases, runPhase(h, g, name, rate, opts.PhaseDuration, qc, bc))
 	}
@@ -768,15 +770,6 @@ func convergedLimit(traj []LimitSample, rampMillis float64) int {
 	return tail[len(tail)/2]
 }
 
-// RunLoad prints the load experiment with default options.
-func RunLoad(w io.Writer, scale float64) error {
-	rep, err := LoadBench(scale, LoadOptions{})
-	if err != nil {
-		return err
-	}
-	return PrintLoad(w, rep)
-}
-
 // PrintLoad renders an already-measured load report.
 func PrintLoad(w io.Writer, rep *LoadReport) error {
 	fmt.Fprintf(w, "Open-loop load — %d locations x %d windows, maxInFlight=%d, queueWait=%gms, timeout=%gms\n",
@@ -797,10 +790,6 @@ func PrintLoad(w io.Writer, rep *LoadReport) error {
 			fmt.Fprintf(w, "  p99 %-10s static %10.1fµs   adaptive %10.1fµs\n",
 				c.Class, c.StaticMicros, c.AdaptiveMicros)
 		}
-	}
-	if rep.Profile != nil {
-		fmt.Fprintln(w)
-		PrintProfile(w, rep.Profile)
 	}
 	return nil
 }

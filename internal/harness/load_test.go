@@ -1,9 +1,10 @@
 package harness
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -187,124 +188,28 @@ func TestLoadBenchAdaptiveSmall(t *testing.T) {
 	}
 }
 
-// Minimal protobuf encoders for building a synthetic pprof profile: varints,
-// wire-type-0 fields and length-delimited fields.
-func pbVarint(v uint64) []byte {
-	var b []byte
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func pbVint(field int, v uint64) []byte {
-	return append(pbVarint(uint64(field)<<3|0), pbVarint(v)...)
-}
-
-func pbBytes(field int, payload []byte) []byte {
-	b := append(pbVarint(uint64(field)<<3|2), pbVarint(uint64(len(payload)))...)
-	return append(b, payload...)
-}
-
-// TestParseProfile decodes a hand-encoded CPU profile: two functions, one
-// with 900ns flat and one with 100ns, mixing packed and unpacked repeated
-// fields to cover both decode paths.
-func TestParseProfile(t *testing.T) {
-	// Sample 1: leaf location 1, values [5, 900] (count, nanos) — unpacked.
-	sample1 := append(pbVint(1, 1), pbVint(2, 5)...)
-	sample1 = append(sample1, pbVint(2, 900)...)
-	// Sample 2: locations [2, 1] and values [1, 100] — packed.
-	locs := append(pbVarint(2), pbVarint(1)...)
-	vals := append(pbVarint(1), pbVarint(100)...)
-	sample2 := append(pbBytes(1, locs), pbBytes(2, vals)...)
-
-	line1 := pbVint(1, 1) // Line{function_id: 1}
-	line2 := pbVint(1, 2)
-	loc1 := append(pbVint(1, 1), pbBytes(4, line1)...) // Location{id: 1, line}
-	loc2 := append(pbVint(1, 2), pbBytes(4, line2)...)
-	fn1 := append(pbVint(1, 1), pbVint(2, 1)...) // Function{id: 1, name: strtab[1]}
-	fn2 := append(pbVint(1, 2), pbVint(2, 2)...)
-
-	var profile []byte
-	profile = append(profile, pbBytes(2, sample1)...)
-	profile = append(profile, pbBytes(2, sample2)...)
-	profile = append(profile, pbBytes(4, loc1)...)
-	profile = append(profile, pbBytes(4, loc2)...)
-	profile = append(profile, pbBytes(5, fn1)...)
-	profile = append(profile, pbBytes(5, fn2)...)
-	profile = append(profile, pbBytes(6, []byte(""))...) // strtab[0] is always ""
-	profile = append(profile, pbBytes(6, []byte("hotFunc"))...)
-	profile = append(profile, pbBytes(6, []byte("coldFunc"))...)
-
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(profile); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := ParseProfile(gz.Bytes(), 10)
-	if rep.Err != "" {
-		t.Fatalf("ParseProfile: %s", rep.Err)
-	}
-	if rep.Samples != 2 {
-		t.Errorf("Samples = %d, want 2", rep.Samples)
-	}
-	if rep.TotalNanos != 1000 {
-		t.Errorf("TotalNanos = %d, want 1000", rep.TotalNanos)
-	}
-	if len(rep.Top) != 2 {
-		t.Fatalf("Top = %+v, want 2 functions", rep.Top)
-	}
-	if rep.Top[0].Name != "hotFunc" || rep.Top[0].FlatNanos != 900 || rep.Top[0].Percent != 90 {
-		t.Errorf("Top[0] = %+v, want hotFunc 900ns 90%%", rep.Top[0])
-	}
-	if rep.Top[1].Name != "coldFunc" || rep.Top[1].FlatNanos != 100 || rep.Top[1].Percent != 10 {
-		t.Errorf("Top[1] = %+v, want coldFunc 100ns 10%%", rep.Top[1])
-	}
-}
-
-// TestParseProfileTopN checks truncation to topN.
-func TestParseProfileTopN(t *testing.T) {
-	sample := append(pbVint(1, 1), pbVint(2, 10)...)
-	var profile []byte
-	profile = append(profile, pbBytes(2, sample)...)
-	profile = append(profile, pbBytes(6, []byte(""))...)
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	zw.Write(profile)
-	zw.Close()
-	rep := ParseProfile(gz.Bytes(), 0)
-	if rep.Err != "" {
-		t.Fatalf("ParseProfile: %s", rep.Err)
-	}
-	// Location 1 has no Location message, so it attributes to "(unknown)";
-	// topN=0 truncates the table away while keeping the totals.
-	if len(rep.Top) != 0 || rep.TotalNanos != 10 {
-		t.Errorf("topN=0: Top=%+v TotalNanos=%d, want empty table with total 10", rep.Top, rep.TotalNanos)
-	}
-}
-
-// TestParseProfileErrors checks malformed inputs surface as Err, never panic.
-func TestParseProfileErrors(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"not gzip":  []byte("definitely not a gzip stream"),
-		"empty":     nil,
-		"truncated": {0x1f, 0x8b, 0x08},
-	} {
-		if rep := ParseProfile(data, 5); rep.Err == "" {
-			t.Errorf("%s: ParseProfile returned no error: %+v", name, rep)
+// TestLoadBenchRejectsUnusableRates: a zero, negative or non-finite offered
+// rate used to send the arrival clock backwards and spin the phase forever;
+// LoadBench must refuse it up front, naming the value. The deadline turns the
+// old hang into a failure instead of a stuck test binary.
+func TestLoadBenchRejectsUnusableRates(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := LoadBench(0.05, LoadOptions{
+				PhaseDuration: 50 * time.Millisecond,
+				Rates:         []float64{bad, 100},
+				Admission:     "static",
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+				t.Errorf("rate %v: err = %v, want an error naming the rate", bad, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("rate %v: LoadBench still running after 10s", bad)
 		}
-	}
-	// A gzip stream wrapping garbage protobuf must also fail gracefully.
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	zw.Write([]byte{0xff, 0xff, 0xff})
-	zw.Close()
-	if rep := ParseProfile(gz.Bytes(), 5); rep.Err == "" {
-		t.Errorf("garbage protobuf: ParseProfile returned no error: %+v", rep)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // read-only slices — a warm Mine hit returns the cached []RuleView itself,
 // which is what makes the warm path allocation-free. Query paths therefore
 // never mutate an answer in place (MineFiltered filters into a fresh slice);
-// callers needing a private copy use MineAppend with their own buffer.
+// callers needing a private copy make one.
 // Entries are invalidated per window when AppendWindow lands — windows are
 // append-only and slices immutable, so this is defensive rather than
 // load-bearing, but it makes the invariant "a cached entry always equals a

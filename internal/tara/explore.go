@@ -53,48 +53,20 @@ func (f *Framework) view(id rules.ID, w int) (RuleView, error) {
 // traditional temporal mining request, answered by quadrant collection over
 // the window's parameter-space slice. The returned slice may be shared with
 // the query cache and other callers: treat it as read-only. Callers that
-// need a mutable answer use MineAppend with their own buffer.
+// need a mutable answer copy it first.
 func (f *Framework) Mine(w int, minSupp, minConf float64) ([]RuleView, error) {
-	return f.MineTraced(nil, w, minSupp, minConf)
-}
-
-// MineAppend appends the Mine answer for (w, minSupp, minConf) to dst and
-// returns the extended slice — the materialize-into variant for callers that
-// pool their own buffers: a warm hit copies views from the shared cached
-// answer into dst and allocates nothing when dst has capacity.
-func (f *Framework) MineAppend(dst []RuleView, w int, minSupp, minConf float64) ([]RuleView, error) {
-	return f.MineAppendTraced(nil, dst, w, minSupp, minConf)
-}
-
-// MineAppendTraced is MineAppend with per-stage span recording on tr.
-func (f *Framework) MineAppendTraced(tr *obs.Trace, dst []RuleView, w int, minSupp, minConf float64) ([]RuleView, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	views, err := f.mineLocked(tr, w, minSupp, minConf)
-	if err != nil {
-		return dst, err
-	}
-	sp := tr.Start(obs.StageMaterialize)
-	dst = append(dst, views...)
-	sp.End()
-	return dst, nil
-}
-
-// MineTraced is Mine with per-stage span recording on tr (nil disables
-// tracing at the cost of a pointer check — the untraced path stays hot).
-func (f *Framework) MineTraced(tr *obs.Trace, w int, minSupp, minConf float64) ([]RuleView, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.mineLocked(tr, w, minSupp, minConf)
+	return f.mineLocked(nil, w, minSupp, minConf)
 }
 
 // mineLocked is Mine's implementation; callers hold f.mu. The answer is
 // served from the query cache when the request's stable region has been
 // collected before (Lemma 4 makes the canonical cut a lossless key). The
 // returned slice is the cached value itself — shared, immutable, and safe
-// for concurrent readers; callers must treat it as read-only and copy (or
-// use MineAppend) before mutating. Serving the shared slice is what makes a
-// warm hit allocation-free.
+// for concurrent readers; callers must treat it as read-only and copy
+// before mutating. Serving the shared slice is what makes a warm hit
+// allocation-free.
 func (f *Framework) mineLocked(tr *obs.Trace, w int, minSupp, minConf float64) ([]RuleView, error) {
 	if err := f.checkGenThresholds(minSupp, minConf); err != nil {
 		return nil, err
