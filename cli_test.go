@@ -48,6 +48,8 @@ func TestCLITaraOneShot(t *testing.T) {
 	}
 }
 
+// TestCLITaraSaveLoad: -save with no -saveformat writes a knowledge base that
+// -kb reopens with the same answers.
 func TestCLITaraSaveLoad(t *testing.T) {
 	bin := buildTool(t, "./cmd/tara")
 	kb := filepath.Join(t.TempDir(), "kb.tara")
@@ -73,21 +75,24 @@ func TestCLITaraSaveLoad(t *testing.T) {
 	}
 }
 
+// TestCLITaraSaveMappedMmap: -saveformat mapped writes a file that reopens
+// with the same answers read into the heap and memory-mapped, and
+// -saveformat accepts nothing else.
 func TestCLITaraSaveMappedMmap(t *testing.T) {
 	bin := buildTool(t, "./cmd/tara")
-	kb := filepath.Join(t.TempDir(), "kb.mapped")
+	dir := t.TempDir()
+	kb := filepath.Join(dir, "kb.mapped")
+	const q = "mine w=0 supp=0.02 conf=0.4"
 	first := run(t, bin, "-tx", "2000", "-batches", "4",
-		"-save", kb, "-saveformat", "mapped", "-q", "mine w=0 supp=0.02 conf=0.4")
+		"-save", kb, "-saveformat", "mapped", "-q", q)
 	if _, err := os.Stat(kb); err != nil {
 		t.Fatalf("mapped knowledge base not written: %v", err)
 	}
-	// Reopen it both ways: memory-mapped and via the auto-detecting heap
-	// loader. All three answers must agree.
-	mapped := run(t, bin, "-kb", kb, "-mmap", "-q", "mine w=0 supp=0.02 conf=0.4")
+	mapped := run(t, bin, "-kb", kb, "-mmap", "-q", q)
 	if !strings.Contains(mapped, "(mmap)") && !strings.Contains(mapped, "(readerat)") {
 		t.Errorf("-mmap did not report a mapped load mode:\n%s", mapped)
 	}
-	loaded := run(t, bin, "-kb", kb, "-q", "mine w=0 supp=0.02 conf=0.4")
+	loaded := run(t, bin, "-kb", kb, "-q", q)
 	extract := func(out string) string {
 		for _, line := range strings.Split(out, "\n") {
 			if strings.Contains(line, "rules in window 0") {
@@ -99,6 +104,12 @@ func TestCLITaraSaveMappedMmap(t *testing.T) {
 	a, m, l := extract(first), extract(mapped), extract(loaded)
 	if a == "" || a != m || a != l {
 		t.Errorf("answers diverge across load modes:\n%q\n%q\n%q", a, m, l)
+	}
+
+	out, err := exec.Command(bin, "-tx", "600", "-batches", "2",
+		"-save", filepath.Join(dir, "legacy.tara"), "-saveformat", "legacy", "-q", q).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-saveformat") {
+		t.Errorf("-saveformat legacy: err=%v, want an unknown -saveformat failure:\n%s", err, out)
 	}
 }
 

@@ -33,17 +33,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"tara/internal/gen"
-	"tara/internal/mining"
 	"tara/internal/query"
 	"tara/internal/server"
 	"tara/internal/tara"
-	"tara/internal/txdb"
 )
 
 func main() {
@@ -55,93 +52,39 @@ func main() {
 		return
 	}
 	var (
-		load     = flag.String("load", "", "load transactions from a TSV file (timestamp<TAB>item item ...)")
-		fimi     = flag.String("fimi", "", "load transactions from a FIMI-format file (e.g. the real retail.dat)")
-		maxTx    = flag.Int("maxtx", 0, "cap transactions read from -fimi (0 = all)")
-		generate = flag.String("gen", "retail", "generate a dataset: retail, quest or webdocs (ignored with -load)")
-		tx       = flag.Int("tx", 20000, "transactions to generate")
-		items    = flag.Int("items", 2000, "item vocabulary size for generation")
-		avgLen   = flag.Int("avglen", 10, "average transaction length for generation")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		batches  = flag.Int("batches", 10, "number of equal-sized windows")
-		winSize  = flag.Int64("window", 0, "time-based window size (overrides -batches when > 0)")
-		genSupp  = flag.Float64("supp", 0.005, "generation minimum support (Table 4)")
-		genConf  = flag.Float64("conf", 0.1, "generation minimum confidence (Table 4)")
-		maxLen   = flag.Int("maxlen", 4, "maximum itemset length")
-		miner    = flag.String("miner", "eclat", "mining algorithm: apriori, eclat, fpgrowth, hmine")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "windows preprocessed concurrently during build (0 or 1 = serial; output is byte-identical either way)")
+		openKB   = server.KBFlags(flag.CommandLine)
 		oneshot  = flag.String("q", "", "run a single query and exit")
-		kbFile   = flag.String("kb", "", "load a previously saved knowledge base instead of building")
-		mmapOn   = flag.Bool("mmap", false, "memory-map the -kb file (mapped container format) instead of deserializing it into the heap")
 		saveFile = flag.String("save", "", "save the knowledge base to this file after building")
-		saveFmt  = flag.String("saveformat", "legacy", "on-disk format for -save: legacy (streaming) or mapped (mmap-ready container)")
+		saveFmt  = flag.String("saveformat", "mapped", "on-disk format for -save: mapped (the TARAKB2 container, the only format)")
 	)
 	flag.Parse()
-
-	var fw *tara.Framework
-	start := time.Now()
-	if *kbFile != "" {
-		var err error
-		if *mmapOn {
-			fw, err = tara.Open(*kbFile)
-		} else {
-			var f *os.File
-			if f, err = os.Open(*kbFile); err != nil {
-				fatal(err)
-			}
-			fw, err = tara.Load(f)
-			f.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		defer fw.Close()
-		fmt.Fprintf(os.Stderr, "loaded knowledge base %s (%s) in %v\n", *kbFile, fw.LoadMode(), time.Since(start).Round(time.Millisecond))
-	} else {
-		db, err := loadOrGenerate(*load, *fimi, *maxTx, *generate, *tx, *items, *avgLen, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := mining.ByName(*miner)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "building TARA knowledge base over %d transactions...\n", db.Len())
-		fw, err = tara.Build(db, *winSize, *batches, tara.Config{
-			GenMinSupport: *genSupp,
-			GenMinConf:    *genConf,
-			MaxItemsetLen: *maxLen,
-			Miner:         m,
-			ContentIndex:  true,
-			Parallelism:   *parallel,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, fw.BuildReport())
+	if *saveFmt != "mapped" {
+		fatal(fmt.Errorf("unknown -saveformat %q (want mapped)", *saveFmt))
 	}
-	fmt.Fprintf(os.Stderr, "ready: %d windows, %d rules, archive %d bytes (in %v)\n",
-		fw.Windows(), fw.RuleDict().Len(), fw.Archive().SizeBytes(), time.Since(start).Round(time.Millisecond))
+
+	start := time.Now()
+	fw, err := openKB(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	if err != nil {
+		fatal(err)
+	}
+	defer fw.Close()
+	if rep := fw.BuildReport(); rep.Total > 0 {
+		fmt.Fprintln(os.Stderr, rep)
+	}
+	fmt.Fprintf(os.Stderr, "ready (%s): %d windows, %d rules, archive %d bytes (in %v)\n",
+		fw.LoadMode(), fw.Windows(), fw.RuleDict().Len(), fw.Archive().SizeBytes(), time.Since(start).Round(time.Millisecond))
 	if *saveFile != "" {
 		f, err := os.Create(*saveFile)
 		if err != nil {
 			fatal(err)
 		}
-		switch *saveFmt {
-		case "legacy":
-			err = fw.Save(f)
-		case "mapped":
-			err = fw.SaveMapped(f)
-		default:
-			err = fmt.Errorf("unknown -saveformat %q (want legacy or mapped)", *saveFmt)
-		}
-		if err != nil {
+		if err := fw.SaveMapped(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "saved knowledge base to %s (%s format)\n", *saveFile, *saveFmt)
+		fmt.Fprintf(os.Stderr, "saved knowledge base to %s\n", *saveFile)
 	}
 
 	if *oneshot != "" {
@@ -175,34 +118,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}
 	}
-}
-
-func loadOrGenerate(load, fimi string, maxTx int, generator string, tx, items, avgLen int, seed int64) (*txdb.DB, error) {
-	if load != "" {
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return txdb.Read(f)
-	}
-	if fimi != "" {
-		f, err := os.Open(fimi)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return txdb.ReadFIMI(f, maxTx)
-	}
-	switch generator {
-	case "retail":
-		return gen.Retail(gen.RetailParams{Transactions: tx, NumItems: items, AvgLen: avgLen, Seed: seed})
-	case "quest":
-		return gen.Quest(gen.QuestParams{Transactions: tx, AvgTransLen: avgLen, NumItems: items, Seed: seed})
-	case "webdocs":
-		return gen.Webdocs(gen.WebdocsParams{Transactions: tx, NumItems: items, AvgLen: avgLen, Seed: seed})
-	}
-	return nil, fmt.Errorf("unknown generator %q (want retail, quest or webdocs)", generator)
 }
 
 func runQuery(fw *tara.Framework, line string) error {

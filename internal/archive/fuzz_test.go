@@ -3,148 +3,146 @@ package archive
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
-// evilArchiveLen builds a syntactically framed archive stream with one
-// window (cardinality 10) and a single series whose header fields, declared
-// payload length and payload bytes are caller-controlled — the shape every
-// decoder attack in the corpus uses.
-func evilArchiveLen(entries, prevW1, prevXY, bufLen uint64, payload []byte) []byte {
-	var b bytes.Buffer
-	b.WriteString(archiveMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(u uint64) {
-		n := binary.PutUvarint(tmp[:], u)
-		b.Write(tmp[:n])
-	}
-	put(1)  // window count
-	put(10) // window cardinality
-	put(1)  // series count
-	put(7)  // rule id
-	put(entries)
-	put(prevW1)
-	put(prevXY)
-	put(0) // prevX
-	put(0) // prevY
-	put(bufLen)
-	b.Write(payload)
-	return b.Bytes()
+// mappedBlock builds a mapped-layout block with one window (cardinality 10)
+// and a single series, rule 7, whose entry count and payload bytes are
+// caller-controlled — the shape every payload attack uses.
+func mappedBlock(entries uint32, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 1) // window count
+	b = binary.LittleEndian.AppendUint32(b, 10)   // window cardinality
+	b = binary.LittleEndian.AppendUint32(b, 1)    // series count
+	b = binary.LittleEndian.AppendUint32(b, 7)    // rule id
+	b = binary.LittleEndian.AppendUint32(b, entries)
+	b = binary.LittleEndian.AppendUint64(b, 0) // payload offset
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return append(b, payload...)
 }
 
-func evilArchive(entries, prevW1, prevXY uint64, payload []byte) []byte {
-	return evilArchiveLen(entries, prevW1, prevXY, uint64(len(payload)), payload)
-}
-
-// adversarialInputs are streams that crashed, hung or over-allocated in the
-// pre-hardening decoder; they seed both the fuzz corpus and the regression
-// test below.
-func adversarialInputs() map[string][]byte {
+// adversarialBlocks are the series payloads (and a payload length) that
+// crashed, hung or over-allocated a pre-hardening decoder, each framed as a
+// mapped block. They seed FuzzOpenMapped and are rows of
+// TestOpenMappedRejects and (behind a valid series)
+// TestReadArchiveRejectsAdversarialStreams.
+func adversarialBlocks() map[string][]byte {
 	enc := func(vals ...uint64) []byte {
 		var out []byte
-		var tmp [binary.MaxVarintLen64]byte
 		for _, v := range vals {
-			n := binary.PutUvarint(tmp[:], v)
-			out = append(out, tmp[:n]...)
+			out = binary.AppendUvarint(out, v)
 		}
 		return out
 	}
+	// A multi-terabyte payload length backed by four real bytes.
+	hugeLen := mappedBlock(1, enc(1, zigzag(5), 0, 0))
+	binary.LittleEndian.PutUint64(hugeLen[12+mappedEntrySize:], 1<<42)
 	return map[string][]byte{
-		// Overlong varints in the payload made Series slice with a negative
-		// index (panic); truncated varints decoded as zero bytes consumed
-		// (infinite loop).
-		"payload-overlong-varint":  evilArchive(1, 1, 5, bytes.Repeat([]byte{0xFF}, 12)),
-		"payload-truncated-varint": evilArchive(1, 1, 5, []byte{0x01, 0x80}),
+		// Overlong varints made Series slice with a negative index (panic);
+		// truncated varints decoded as zero bytes consumed (infinite loop).
+		"payload-overlong-varint":  mappedBlock(1, bytes.Repeat([]byte{0xFF}, 12)),
+		"payload-truncated-varint": mappedBlock(1, append(enc(1, zigzag(5), 0), 0x80)),
 		// A gap of zero claims two records in one window.
-		"payload-zero-gap": evilArchive(2, 1, 0, enc(1, 0, 0, 0, 0, 0, 0, 0)),
-		// Entry counts and append state the payload does not back up.
-		"entry-count-mismatch": evilArchive(3, 1, 10, enc(1, zigzag(10), 0, 0)),
-		"state-mismatch":       evilArchive(1, 1, 99, enc(1, zigzag(10), 0, 0)),
-		// Attacker-chosen sizes that pre-allocated before any data arrived.
-		"huge-entry-count": evilArchive(1<<40, 1, 5, enc(1, zigzag(5), 0, 0)),
-		// Declares a multi-terabyte payload backed by four real bytes; the
-		// pre-hardening decoder's only defence was chunked reading, and the
-		// entry-count cross-check now rejects it before any decode.
-		"huge-payload-length": evilArchiveLen(1, 1, 5, 1<<42, enc(1, zigzag(5), 0, 0)),
-		// References beyond the recorded windows, id/count overflow, dup ids.
-		"prevw-beyond-windows": evilArchive(1, 2, 5, enc(2, zigzag(5), 0, 0)),
-		"prevw-wraps-negative": evilArchive(1, 1<<63, 5, enc(1, zigzag(5), 0, 0)),
-		"window-gap-escape":    evilArchive(1, 1, 5, enc(5, zigzag(5), 0, 0)),
-		"negative-count":       evilArchive(1, 1, 5, enc(1, zigzag(-3), 0, 0)),
+		"payload-zero-gap": mappedBlock(2, enc(1, 0, 0, 0, 0, 0, 0, 0)),
+		// A gap past the recorded windows, and a running count below zero.
+		"window-gap-escape": mappedBlock(1, enc(5, zigzag(5), 0, 0)),
+		"negative-count":    mappedBlock(1, enc(1, zigzag(-3), 0, 0)),
+		// An entry count the payload does not back up: plausible for its
+		// length, so only the decode walk catches it.
+		"entry-count-mismatch": mappedBlock(2, enc(1, zigzag(1<<20), zigzag(1<<20), zigzag(1<<20))),
+		// An attacker-chosen count that would size allocations.
+		"huge-entry-count":    mappedBlock(math.MaxUint32, enc(1, zigzag(5), 0, 0)),
+		"huge-payload-length": hugeLen,
 	}
 }
 
-// FuzzReadArchive checks the archive deserializer never panics, loops or
-// over-allocates on arbitrary bytes, and that accepted archives are fully
-// decodable and re-serialize deterministically.
-func FuzzReadArchive(f *testing.F) {
-	var valid bytes.Buffer
-	a := New()
-	a.BeginWindow(10)
-	a.Append(1, 2, 3, 4)
-	a.WriteTo(&valid)
-	f.Add(valid.Bytes())
-	f.Add([]byte(""))
-	f.Add([]byte("TARC1\n"))
-	f.Add([]byte("TARC1\n\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
-	for _, in := range adversarialInputs() {
+// FuzzOpenMapped checks the mapped-block decoder never panics, loops or
+// over-allocates on arbitrary bytes, that every read path is safe on an
+// accepted block, and that accepted blocks round-trip through AppendMapped
+// both as opened and after promotion to the heap.
+func FuzzOpenMapped(f *testing.F) {
+	img := buildRandomArchive(2, 5, 12).AppendMapped(nil)
+	f.Add(img)
+	f.Add(img[:len(img)/2])
+	f.Add(append(img[:len(img):len(img)], 0xEE))
+	f.Add(New().AppendMapped(nil))
+	f.Add(buildRandomArchive(1, 3, 4).AppendMapped(nil))
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // huge window count
+	for _, in := range adversarialBlocks() {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		got, err := ReadArchive(bytes.NewReader(in))
+		got, err := OpenMapped(in)
 		if err != nil {
 			return
 		}
-		// Everything the online query path decodes must be safe on an
-		// accepted archive: series, per-window stats, roll-ups.
 		for _, id := range got.Rules() {
-			series := got.Series(id)
-			for _, e := range series {
+			for _, e := range got.Series(id) {
 				if e.Window < 0 || e.Window >= got.Windows() {
 					t.Fatalf("rule %d decoded entry in window %d of %d", id, e.Window, got.Windows())
 				}
 			}
 			if got.Windows() > 0 {
 				if _, _, err := got.RollUp(id, 0, got.Windows()-1); err != nil {
-					t.Fatalf("RollUp over accepted archive: %v", err)
+					t.Fatalf("RollUp over accepted block: %v", err)
 				}
-				if tr, err := got.Trajectory(id, 0, got.Windows()-1); err != nil {
-					t.Fatalf("Trajectory over accepted archive: %v", err)
-				} else {
-					tr.SupportSeries() // must not index out of range
+				tr, err := got.Trajectory(id, 0, got.Windows()-1)
+				if err != nil {
+					t.Fatalf("Trajectory over accepted block: %v", err)
 				}
+				tr.SupportSeries() // must not index out of range
 			}
 		}
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("WriteTo of accepted archive: %v", err)
+		out := got.AppendMapped(nil)
+		if !bytes.Equal(out, in) {
+			t.Fatal("accepted block does not re-emit byte for byte")
 		}
-		// Accepted archives round-trip: the re-serialized form is accepted
-		// and identical on the second pass.
-		again, err := ReadArchive(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-read of accepted archive: %v", err)
+		if err := got.Promote(); err != nil {
+			t.Fatalf("Promote of accepted block: %v", err)
 		}
-		var out2 bytes.Buffer
-		if _, err := again.WriteTo(&out2); err != nil {
-			t.Fatalf("WriteTo of re-read archive: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatal("accepted archive does not re-serialize deterministically")
+		if !bytes.Equal(got.AppendMapped(nil), in) {
+			t.Fatal("promoted block re-encodes differently")
 		}
 	})
 }
 
-// TestReadArchiveRejectsAdversarialStreams locks in that each known-bad
-// stream is rejected with an error — not a panic, hang or huge allocation.
+// behindValidSeries reframes a mappedBlock so its series (rule 7) follows a
+// well-formed series for rule 3, keeping its entry count and declared
+// payload length.
+func behindValidSeries(block []byte) []byte {
+	good := binary.AppendUvarint(nil, 1)
+	good = binary.AppendUvarint(good, zigzag(5))
+	good = append(good, 0, 0)
+	entries := binary.LittleEndian.Uint32(block[16:])
+	declared := binary.LittleEndian.Uint64(block[12+mappedEntrySize:])
+	b := binary.LittleEndian.AppendUint32(nil, 1) // window count
+	b = binary.LittleEndian.AppendUint32(b, 10)   // window cardinality
+	b = binary.LittleEndian.AppendUint32(b, 2)    // series count
+	b = binary.LittleEndian.AppendUint32(b, 3)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 7)
+	b = binary.LittleEndian.AppendUint32(b, entries)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(good)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(good))+declared)
+	b = append(b, good...)
+	return append(b, block[12+mappedEntrySize+8:]...)
+}
+
+// TestReadArchiveRejectsAdversarialStreams locks in that open validates
+// every series, not only the first: each adversarial payload is rejected
+// when it sits behind a well-formed series.
 func TestReadArchiveRejectsAdversarialStreams(t *testing.T) {
-	for name, in := range adversarialInputs() {
-		a, err := ReadArchive(bytes.NewReader(in))
-		if err == nil {
-			// Acceptance is only tolerable if every decode path stays safe;
-			// the fuzz target checks that, but these inputs are all malformed
-			// on purpose and must not load.
-			t.Errorf("%s: accepted (archive %d windows, %d entries)", name, a.Windows(), a.NumEntries())
-		}
+	valid := behindValidSeries(mappedBlock(1, []byte{1, byte(zigzag(5)), 0, 0}))
+	if a, err := OpenMapped(valid); err != nil || a.NumRules() != 2 {
+		t.Fatalf("well-formed two-series block: err = %v", err)
+	}
+	for name, in := range adversarialBlocks() {
+		t.Run(name, func(t *testing.T) {
+			if a, err := OpenMapped(behindValidSeries(in)); err == nil {
+				t.Errorf("accepted (archive %d windows, %d entries)", a.Windows(), a.NumEntries())
+			}
+		})
 	}
 }

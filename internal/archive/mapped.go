@@ -7,14 +7,12 @@ import (
 	"tara/internal/rules"
 )
 
-// Mapped archive layout — the query-ready on-disk form of the TAR Archive,
-// stored inside one section of the TARAKB2 container. Unlike the legacy
-// "TARC1\n" stream (persist.go), which interleaves variable-width headers
-// with payloads and must be decoded front to back, the mapped layout places
-// a fixed-width, id-sorted series table in front of one contiguous payload
-// blob, so a rule's encoded series is found by binary search and served as
-// an offset/length pair into the mapped file — no per-series allocation, no
-// map construction, no payload copy at open.
+// Mapped archive layout — the on-disk form of the TAR Archive, stored inside
+// one section of the TARAKB2 container. A fixed-width, id-sorted series
+// table sits in front of one contiguous payload blob, so a rule's encoded
+// series is found by binary search and served as an offset/length pair into
+// the mapped file — no per-series allocation, no map construction, no
+// payload copy at open.
 //
 // Layout (all integers little-endian, fixed width):
 //
@@ -24,11 +22,10 @@ import (
 //	                        payload offset u64 (relative to blob start)
 //	u64 payload blob length
 //	payload blob (the per-series delta-varint streams, id-ascending,
-//	              byte-identical to the in-memory / legacy encoding)
+//	              byte-identical to the in-memory encoding)
 //
-// The per-series append state of the legacy stream (prevW, prevXY, ...) is
-// not stored: it equals the final decoded entry, which OpenMapped verifies
-// and Promote recovers when an append needs it.
+// A series' append state (prevW, prevXY, ...) is not stored: it equals the
+// final decoded entry, which Promote recovers when an append needs it.
 
 const mappedEntrySize = 16
 
@@ -240,41 +237,6 @@ func (a *Archive) Promote() error {
 	return nil
 }
 
-// writeToMapped is WriteTo for a mapped archive: it emits the legacy
-// "TARC1\n" stream byte-identically to what the heap-resident equivalent
-// would write, recovering each series' append state from its payload.
-func (a *Archive) writeToMapped(put func([]byte) error, putUvarint func(uint64) error) error {
-	m := a.mapped
-	if err := putUvarint(uint64(m.count())); err != nil {
-		return err
-	}
-	for i := 0; i < m.count(); i++ {
-		id, n, off, end := m.entry(i)
-		buf := m.payload[off:end]
-		var s series
-		s.prevW = -1
-		if err := decodePayload(buf, func(e Entry) error {
-			s.prevW, s.prevXY, s.prevX, s.prevY = e.Window, e.CountXY, e.CountX, e.CountY
-			return nil
-		}); err != nil {
-			return fmt.Errorf("archive: serializing mapped series %d: %w", id, err)
-		}
-		for _, u := range []uint64{
-			uint64(id), uint64(n),
-			uint64(s.prevW + 1), uint64(s.prevXY), uint64(s.prevX), uint64(s.prevY),
-			uint64(len(buf)),
-		} {
-			if err := putUvarint(u); err != nil {
-				return err
-			}
-		}
-		if err := put(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // seriesPayload returns the encoded payload and entry count of rule id from
 // whichever representation holds it.
 func (a *Archive) seriesPayload(id rules.ID) (buf []byte, n int, ok bool) {
@@ -291,4 +253,12 @@ func (a *Archive) seriesPayload(id rules.ID) (buf []byte, n int, ok bool) {
 		return nil, 0, false
 	}
 	return s.buf, s.n, true
+}
+
+func sortIDs(ids []rules.ID) {
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
 }

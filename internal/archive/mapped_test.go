@@ -3,10 +3,27 @@ package archive
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"tara/internal/rules"
 )
+
+func buildRandomArchive(seed int64, windows, rulesN int) *Archive {
+	r := rand.New(rand.NewSource(seed))
+	a := New()
+	for w := 0; w < windows; w++ {
+		a.BeginWindow(uint32(50 + r.Intn(200)))
+		for id := 0; id < rulesN; id++ {
+			if r.Intn(3) == 0 {
+				continue
+			}
+			xy := uint32(r.Intn(1000))
+			a.Append(rules.ID(id), xy, xy+uint32(r.Intn(100)), uint32(r.Intn(1000)))
+		}
+	}
+	return a
+}
 
 func openMappedCopy(t *testing.T, a *Archive) *Archive {
 	t.Helper()
@@ -22,6 +39,16 @@ func sameArchive(t *testing.T, want, got *Archive) {
 	t.Helper()
 	if want.Windows() != got.Windows() {
 		t.Fatalf("windows: %d vs %d", got.Windows(), want.Windows())
+	}
+	for w := 0; w < want.Windows(); w++ {
+		wn, _ := want.WindowN(w)
+		gn, _ := got.WindowN(w)
+		if wn != gn {
+			t.Fatalf("window %d: N %d vs %d", w, gn, wn)
+		}
+	}
+	if want.SizeBytes() != got.SizeBytes() {
+		t.Fatalf("size: %d vs %d bytes", got.SizeBytes(), want.SizeBytes())
 	}
 	if want.NumEntries() != got.NumEntries() {
 		t.Fatalf("entries: %d vs %d", got.NumEntries(), want.NumEntries())
@@ -60,18 +87,66 @@ func TestOpenMappedRoundTrip(t *testing.T) {
 	sameArchive(t, a, m)
 }
 
+func TestArchiveWriteReadRoundTrip(t *testing.T) {
+	a := buildRandomArchive(1, 12, 40)
+	b := openMappedCopy(t, a)
+	if b.Windows() != a.Windows() || b.NumEntries() != a.NumEntries() {
+		t.Fatalf("shape: %d/%d vs %d/%d", b.Windows(), b.NumEntries(), a.Windows(), a.NumEntries())
+	}
+	for _, id := range a.Rules() {
+		as, bs := a.Series(id), b.Series(id)
+		if len(as) != len(bs) {
+			t.Fatalf("rule %d: %d vs %d entries", id, len(bs), len(as))
+		}
+		for i := range as {
+			if as[i] != bs[i] {
+				t.Fatalf("rule %d entry %d: %+v vs %+v", id, i, bs[i], as[i])
+			}
+		}
+	}
+}
+
+func TestPropertyArchivePersistRoundTrip(t *testing.T) {
+	for seed := int64(10); seed < 20; seed++ {
+		a := buildRandomArchive(seed, 1+int(seed%7), 1+int(seed%13))
+		b, err := OpenMapped(a.AppendMapped(nil))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if b.SizeBytes() != a.SizeBytes() {
+			t.Errorf("seed %d: size %d vs %d", seed, b.SizeBytes(), a.SizeBytes())
+		}
+		for w := 0; w < a.Windows(); w++ {
+			an, _ := a.WindowN(w)
+			bn, _ := b.WindowN(w)
+			if an != bn {
+				t.Errorf("seed %d window %d: N %d vs %d", seed, w, bn, an)
+			}
+		}
+	}
+}
+
+func TestArchiveSaveDeterministic(t *testing.T) {
+	a := buildRandomArchive(3, 6, 20)
+	if !bytes.Equal(a.AppendMapped(nil), a.AppendMapped(nil)) {
+		t.Error("AppendMapped not deterministic")
+	}
+}
+
+// TestMappedWriteToByteIdentical: a mapped archive whose payloads were
+// decoded into heap copies re-encodes to exactly the bytes of the heap
+// archive it was saved from.
 func TestMappedWriteToByteIdentical(t *testing.T) {
 	a := buildRandomArchive(3, 8, 30)
 	m := openMappedCopy(t, a)
-	var wantBuf, gotBuf bytes.Buffer
-	if _, err := a.WriteTo(&wantBuf); err != nil {
+	if err := m.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WriteTo(&gotBuf); err != nil {
-		t.Fatal(err)
+	if m.Mapped() {
+		t.Fatal("archive still mapped after Promote")
 	}
-	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-		t.Fatal("legacy stream from mapped archive differs from heap original")
+	if !bytes.Equal(a.AppendMapped(nil), m.AppendMapped(nil)) {
+		t.Fatal("promoted mapped archive encodes differently from its heap original")
 	}
 }
 
@@ -80,8 +155,8 @@ func TestMappedAppendPromotes(t *testing.T) {
 	m := openMappedCopy(t, a)
 
 	// Appending a window transparently promotes the mapped payloads to heap
-	// copies; both archives must then agree entry for entry and byte for
-	// byte on the legacy stream.
+	// copies; both archives must then agree entry for entry, and re-encode
+	// to the same block.
 	for _, ar := range []*Archive{a, m} {
 		ar.BeginWindow(123)
 		if err := ar.Append(2, 9, 18, 27); err != nil {
@@ -95,11 +170,30 @@ func TestMappedAppendPromotes(t *testing.T) {
 		t.Fatal("archive still mapped after append")
 	}
 	sameArchive(t, a, m)
-	var wantBuf, gotBuf bytes.Buffer
-	a.WriteTo(&wantBuf)
-	m.WriteTo(&gotBuf)
-	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-		t.Fatal("legacy stream differs after promote")
+	if !bytes.Equal(a.AppendMapped(nil), m.AppendMapped(nil)) {
+		t.Fatal("mapped block differs after promote")
+	}
+}
+
+// TestArchiveReloadedStillAppendable: Promote recovers each series' append
+// state from its payload, so a reopened archive rejects a second append of
+// a rule in the window it was last recorded in, and continues its deltas
+// correctly in the next window.
+func TestArchiveReloadedStillAppendable(t *testing.T) {
+	a := New()
+	a.BeginWindow(100)
+	a.Append(1, 10, 20, 30)
+	b := openMappedCopy(t, a)
+	if err := b.Append(1, 1, 1, 1); err == nil {
+		t.Error("double append accepted after reopen")
+	}
+	b.BeginWindow(200)
+	if err := b.Append(1, 15, 25, 35); err != nil {
+		t.Fatal(err)
+	}
+	got := b.Series(1)
+	if len(got) != 2 || got[1] != (Entry{Window: 1, CountXY: 15, CountX: 25, CountY: 35}) {
+		t.Fatalf("Series after reopen+append = %v", got)
 	}
 }
 
@@ -162,6 +256,29 @@ func TestOpenMappedRejects(t *testing.T) {
 	b := append(append([]byte(nil), img...), 0xEE)
 	if _, err := OpenMapped(b); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+
+	// Well-framed blocks whose series payload is malformed, or whose
+	// payload length is not backed by bytes: open must reject each one.
+	for name, in := range adversarialBlocks() {
+		t.Run(name, func(t *testing.T) {
+			if a, err := OpenMapped(in); err == nil {
+				t.Errorf("accepted (archive %d windows, %d entries)", a.Windows(), a.NumEntries())
+			}
+		})
+	}
+}
+
+func TestReadArchiveErrors(t *testing.T) {
+	if _, err := OpenMapped(nil); err == nil {
+		t.Error("empty block accepted")
+	}
+	if _, err := OpenMapped([]byte("XXXXXX")); err == nil {
+		t.Error("junk block accepted")
+	}
+	img := buildRandomArchive(2, 4, 5).AppendMapped(nil)
+	if _, err := OpenMapped(img[: len(img)-3 : len(img)-3]); err == nil {
+		t.Error("truncated block accepted")
 	}
 }
 

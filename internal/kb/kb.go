@@ -28,9 +28,13 @@ import (
 	"sync"
 )
 
-// Magic identifies a version-2 knowledge-base container. The first 8 bytes
-// of a file distinguish it from the legacy "TARAKB1\n" stream.
+// Magic identifies a version-2 knowledge-base container.
 const Magic = "TARAKB2\n"
+
+// removedMagic opened the TARAKB1 stream, the format this container
+// replaced. Such files are no longer read; they are recognized only to say
+// how to replace them.
+const removedMagic = "TARAKB1\n"
 
 // Version is the current container format version. Readers reject files with
 // a different version rather than guessing at their layout.
@@ -216,6 +220,9 @@ func (f *File) parseHeader() error {
 	hdr, err := f.readAt(0, headerFixed)
 	if err != nil {
 		return fmt.Errorf("kb: reading header: %w", err)
+	}
+	if string(hdr[:8]) == removedMagic {
+		return fmt.Errorf("kb: file is a TARAKB1 knowledge base, a format no longer read; rebuild it from its transactions with tara -load <transactions> -save <kb>")
 	}
 	if string(hdr[:8]) != Magic {
 		return fmt.Errorf("kb: bad magic %q", hdr[:8])

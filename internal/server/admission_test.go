@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -419,6 +420,22 @@ func TestAdmissionConfigOverrides(t *testing.T) {
 	}
 	if got := s.ctrl.cfg.Tolerance; got != 2.0 {
 		t.Errorf("default Tolerance = %v, want 2.0", got)
+	}
+}
+
+// TestAdmissionToleranceRejected: a tolerance the controller cannot use is
+// refused, naming the value. NaN used to fall back to the default silently,
+// +Inf never breached, and anything below 1 breached every mature window.
+func TestAdmissionToleranceRejected(t *testing.T) {
+	fw := testFramework(t)
+	for _, tol := range []float64{math.NaN(), math.Inf(1), -1, 0.5} {
+		_, err := New(Config{
+			Framework: fw, Logger: quietLogger(), AdmissionMode: "adaptive", MaxInFlight: 8,
+			AdmissionTolerance: tol,
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(tol)) {
+			t.Errorf("AdmissionTolerance %v: err = %v, want an error naming the value", tol, err)
+		}
 	}
 }
 

@@ -27,24 +27,8 @@ func Run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tarad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
+		openKB   = KBFlags(fs)
 		addr     = fs.String("addr", "127.0.0.1:8775", "listen address")
-		kbFile   = fs.String("kb", "", "load a previously saved knowledge base instead of building")
-		mmapOn   = fs.Bool("mmap", false, "memory-map the -kb file (mapped container format) instead of deserializing it into the heap")
-		load     = fs.String("load", "", "build from transactions in a TSV file (timestamp<TAB>item item ...)")
-		fimi     = fs.String("fimi", "", "build from transactions in a FIMI-format file")
-		maxTx    = fs.Int("maxtx", 0, "cap transactions read from -fimi (0 = all)")
-		generate = fs.String("gen", "retail", "generate a dataset: retail, quest or webdocs (ignored with -load)")
-		tx       = fs.Int("tx", 20000, "transactions to generate")
-		items    = fs.Int("items", 2000, "item vocabulary size for generation")
-		avgLen   = fs.Int("avglen", 10, "average transaction length for generation")
-		seed     = fs.Int64("seed", 1, "generator seed")
-		batches  = fs.Int("batches", 10, "number of equal-sized windows")
-		winSize  = fs.Int64("window", 0, "time-based window size (overrides -batches when > 0)")
-		genSupp  = fs.Float64("supp", 0.005, "generation minimum support")
-		genConf  = fs.Float64("conf", 0.1, "generation minimum confidence")
-		maxLen   = fs.Int("maxlen", 4, "maximum itemset length")
-		miner    = fs.String("miner", "eclat", "mining algorithm: apriori, eclat, fpgrowth, hmine")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "windows preprocessed concurrently during build (0 or 1 = serial)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		inflight = fs.Int("maxinflight", 256, "max concurrently executing queries (-1 = unlimited; in adaptive mode, the controller's upper bound)")
 		adm      = fs.String("admission", "adaptive", "in-flight admission policy: adaptive (AIMD latency-feedback limit with per-class QoS guarantees) or static (fixed -maxinflight cap, the legacy behavior)")
@@ -65,8 +49,7 @@ func Run(args []string, stderr io.Writer) error {
 	log := slog.New(slog.NewTextHandler(stderr, nil))
 
 	start := time.Now()
-	fw, err := loadOrBuild(log, *kbFile, *mmapOn, *load, *fimi, *maxTx, *generate, *tx, *items, *avgLen,
-		*seed, *batches, *winSize, *genSupp, *genConf, *maxLen, *miner, *parallel)
+	fw, err := openKB(log)
 	if err != nil {
 		return err
 	}
@@ -165,41 +148,62 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	}
 }
 
-// loadOrBuild either restores a persisted knowledge base or builds one from
-// loaded/generated transactions, mirroring the cmd/tara startup path.
-func loadOrBuild(log *slog.Logger, kbFile string, mmapOn bool, load, fimi string, maxTx int, generate string,
-	tx, items, avgLen int, seed int64, batches int, winSize int64,
-	genSupp, genConf float64, maxLen int, miner string, parallel int) (*tara.Framework, error) {
-	if kbFile != "" {
-		if mmapOn {
-			log.Info("mapping knowledge base", "file", kbFile)
-			return tara.Open(kbFile)
+// KBFlags registers on fs the flags that say where the knowledge base comes
+// from — a saved file (-kb, mapped with -mmap) or transactions to build one
+// from (-load, -fimi or -gen, plus the build parameters) — and returns the
+// function that opens or builds it once fs is parsed. tarad and the tara CLI
+// both start through it.
+func KBFlags(fs *flag.FlagSet) func(log *slog.Logger) (*tara.Framework, error) {
+	var (
+		kbFile   = fs.String("kb", "", "load a previously saved knowledge base instead of building")
+		mmapOn   = fs.Bool("mmap", false, "memory-map the -kb file instead of reading it into the heap")
+		load     = fs.String("load", "", "build from transactions in a TSV file (timestamp<TAB>item item ...)")
+		fimi     = fs.String("fimi", "", "build from transactions in a FIMI-format file (e.g. the real retail.dat)")
+		maxTx    = fs.Int("maxtx", 0, "cap transactions read from -fimi (0 = all)")
+		generate = fs.String("gen", "retail", "generate a dataset: retail, quest or webdocs (ignored with -load)")
+		tx       = fs.Int("tx", 20000, "transactions to generate")
+		items    = fs.Int("items", 2000, "item vocabulary size for generation")
+		avgLen   = fs.Int("avglen", 10, "average transaction length for generation")
+		seed     = fs.Int64("seed", 1, "generator seed")
+		batches  = fs.Int("batches", 10, "number of equal-sized windows")
+		winSize  = fs.Int64("window", 0, "time-based window size (overrides -batches when > 0)")
+		genSupp  = fs.Float64("supp", 0.005, "generation minimum support (Table 4)")
+		genConf  = fs.Float64("conf", 0.1, "generation minimum confidence (Table 4)")
+		maxLen   = fs.Int("maxlen", 4, "maximum itemset length")
+		miner    = fs.String("miner", "eclat", "mining algorithm: apriori, eclat, fpgrowth, hmine")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "windows preprocessed concurrently during build (0 or 1 = serial; output is byte-identical either way)")
+	)
+	return func(log *slog.Logger) (*tara.Framework, error) {
+		if *kbFile != "" {
+			if *mmapOn {
+				log.Info("mapping knowledge base", "file", *kbFile)
+				return tara.Open(*kbFile)
+			}
+			log.Info("loading knowledge base", "file", *kbFile)
+			b, err := os.ReadFile(*kbFile)
+			if err != nil {
+				return nil, err
+			}
+			return tara.OpenBytes(b)
 		}
-		f, err := os.Open(kbFile)
+		db, err := loadOrGenerate(*load, *fimi, *maxTx, *generate, *tx, *items, *avgLen, *seed)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		log.Info("loading knowledge base", "file", kbFile)
-		return tara.Load(f)
+		m, err := mining.ByName(*miner)
+		if err != nil {
+			return nil, err
+		}
+		log.Info("building knowledge base", "transactions", db.Len(), "miner", *miner, "parallelism", *parallel)
+		return tara.Build(db, *winSize, *batches, tara.Config{
+			GenMinSupport: *genSupp,
+			GenMinConf:    *genConf,
+			MaxItemsetLen: *maxLen,
+			Miner:         m,
+			ContentIndex:  true,
+			Parallelism:   *parallel,
+		})
 	}
-	db, err := loadOrGenerate(load, fimi, maxTx, generate, tx, items, avgLen, seed)
-	if err != nil {
-		return nil, err
-	}
-	m, err := mining.ByName(miner)
-	if err != nil {
-		return nil, err
-	}
-	log.Info("building knowledge base", "transactions", db.Len(), "miner", miner, "parallelism", parallel)
-	return tara.Build(db, winSize, batches, tara.Config{
-		GenMinSupport: genSupp,
-		GenMinConf:    genConf,
-		MaxItemsetLen: maxLen,
-		Miner:         m,
-		ContentIndex:  true,
-		Parallelism:   parallel,
-	})
 }
 
 func loadOrGenerate(load, fimi string, maxTx int, generator string, tx, items, avgLen int, seed int64) (*txdb.DB, error) {

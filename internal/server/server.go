@@ -83,6 +83,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -126,8 +127,8 @@ type Config struct {
 	AdmissionWindow time.Duration
 	// AdmissionTolerance is how far the windowed p99 may run above the
 	// controller's baseline before the window counts as a breach (a
-	// multiplicative factor). Zero selects the 2.0 default; ignored in
-	// static mode.
+	// multiplicative factor). Zero selects the 2.0 default; any other value
+	// must be finite and at least 1. Ignored in static mode.
 	AdmissionTolerance float64
 	// QueueWait bounds how long a request may wait for an in-flight slot
 	// before being shed with 429. Zero (the default) sheds the moment no
@@ -272,8 +273,13 @@ func New(cfg Config) (*Server, error) {
 		if cfg.AdmissionWindow > 0 {
 			acfg.Window = cfg.AdmissionWindow
 		}
-		if cfg.AdmissionTolerance > 0 {
-			acfg.Tolerance = cfg.AdmissionTolerance
+		// Below 1 every mature window breaches (the baseline snaps down to
+		// p99); NaN or +Inf never breaches.
+		if tol := cfg.AdmissionTolerance; tol != 0 {
+			if !(tol >= 1) || math.IsInf(tol, 1) {
+				return nil, fmt.Errorf("server: AdmissionTolerance %v must be a finite factor >= 1 (0 selects the default)", tol)
+			}
+			acfg.Tolerance = tol
 		}
 		s.adm = newQoSSem(minLimit)
 		s.ctrl = newAIMDController(acfg, s.adm, nil)

@@ -41,13 +41,13 @@ func buildAt(t *testing.T, parallelism int) *Framework {
 func TestParallelBuildByteIdentical(t *testing.T) {
 	serial := buildAt(t, 1)
 	var want bytes.Buffer
-	if err := serial.Save(&want); err != nil {
+	if err := serial.SaveMapped(&want); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8} {
 		f := buildAt(t, p)
 		var got bytes.Buffer
-		if err := f.Save(&got); err != nil {
+		if err := f.SaveMapped(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -1,12 +1,10 @@
 package tara
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"tara/internal/archive"
 	"tara/internal/eps"
@@ -17,10 +15,10 @@ import (
 	"tara/internal/txdb"
 )
 
-// Mapped knowledge-base persistence: the TARAKB2 container (internal/kb)
-// holds the knowledge base in a query-ready layout, so Open serves cold
-// lookups straight off the mapped file instead of re-deriving the EPS index
-// from the archive the way Load does.
+// Knowledge-base persistence: the TARAKB2 container (internal/kb) holds the
+// knowledge base in a query-ready layout — the offline phase's EPS index and
+// TAR Archive both — so Open serves cold lookups straight off the mapped
+// file without re-deriving anything.
 //
 // Section contents (container framing is internal/kb's; integers are
 // uvarints unless noted):
@@ -34,9 +32,9 @@ import (
 //	windows:  count, then per window zigzag(start), zigzag(end), N
 //	archive:  the archive.AppendMapped block
 //	eps:      slice count, then per window blockLen + eps.(*Slice).AppendMapped
-//	          block — persisting the index is the point: Load rebuilds it
-//	          from the archive (sorting, deduplication, postings encoding per
-//	          window), Open just validates and aliases it
+//	          block — Open validates and aliases it rather than rebuilding
+//	          the index from the archive (sorting, deduplication, postings
+//	          encoding per window)
 const (
 	kbSecMeta     kb.SectionID = 1
 	kbSecItems    kb.SectionID = 2
@@ -142,33 +140,15 @@ func (f *Framework) buildContainer() (*kb.Builder, error) {
 	return b, nil
 }
 
-// Open loads a knowledge base from path, auto-detecting the format. Mapped
-// (TARAKB2) containers are memory-mapped when the platform allows it, with a
-// portable io.ReaderAt fallback; queries then run against validated,
-// lazily-materialized views of the file bytes, which is what makes cold
-// start milliseconds instead of a full deserialize-and-rebuild. Legacy
-// (TARAKB1) streams fall back to Load transparently.
+// Open loads a knowledge base from path. The container is memory-mapped
+// when the platform allows it, with a portable io.ReaderAt fallback; queries
+// then run against validated, lazily-materialized views of the file bytes,
+// which is what makes cold start milliseconds instead of a full
+// deserialize-and-rebuild.
 //
 // The returned framework owns the mapping; call Close when done with it, and
 // not before the last query has returned.
 func Open(path string) (*Framework, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [len(kbMagic)]byte
-	_, err = io.ReadFull(fh, magic[:])
-	if err == nil && string(magic[:]) == kbMagic {
-		defer fh.Close()
-		if _, err := fh.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return Load(fh)
-	}
-	fh.Close()
-	if err != nil {
-		return nil, fmt.Errorf("tara: reading magic: %w", err)
-	}
 	kf, err := kb.Open(path)
 	if err != nil {
 		return nil, err
@@ -181,9 +161,9 @@ func Open(path string) (*Framework, error) {
 	return f, nil
 }
 
-// OpenBytes opens a mapped-format knowledge base held in memory — the
-// zero-I/O twin of Open used by tests and benchmarks. The framework aliases
-// b, which must not be mutated afterwards.
+// OpenBytes opens a knowledge base held in memory — the zero-I/O twin of
+// Open, used for a -kb file read without -mmap and by tests and benchmarks.
+// The framework aliases b, which must not be mutated afterwards.
 func OpenBytes(b []byte) (*Framework, error) {
 	kf, err := kb.OpenBytes(b)
 	if err != nil {
@@ -436,8 +416,8 @@ func readWindows(kf *kb.File) ([]WindowInfo, error) {
 }
 
 // LoadMode reports how the knowledge base entered memory: "heap" for built
-// or legacy-loaded frameworks, "mmap" / "readerat" / "bytes" for mapped
-// containers depending on how the platform let us access the file.
+// frameworks, "mmap" / "readerat" for Open depending on how the platform let
+// us access the file, "bytes" for OpenBytes.
 func (f *Framework) LoadMode() string {
 	if f.loadMode == "" {
 		return "heap"
@@ -447,8 +427,7 @@ func (f *Framework) LoadMode() string {
 
 // Close releases the knowledge-base mapping, if any. The framework must not
 // be used afterwards: mapped frameworks serve queries from views of the
-// file bytes, which Close invalidates. It is a no-op for built and
-// legacy-loaded frameworks.
+// file bytes, which Close invalidates. It is a no-op for built frameworks.
 func (f *Framework) Close() error {
 	if f.kbf == nil {
 		return nil
@@ -456,10 +435,5 @@ func (f *Framework) Close() error {
 	return f.kbf.Close()
 }
 
-// sniffMapped reports whether the stream begins with the mapped-container
-// magic; used by Load to route TARAKB2 bytes arriving through the legacy
-// entry point.
-func sniffMapped(br *bufio.Reader) bool {
-	m, err := br.Peek(len(kb.Magic))
-	return err == nil && string(m) == kb.Magic
-}
+func zigzag64(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
+func unzigzag64(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

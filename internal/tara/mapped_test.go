@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tara/internal/kb"
@@ -46,9 +47,19 @@ func sameViews(t *testing.T, what string, a, b []RuleView) {
 }
 
 func TestSaveMappedOpenDifferential(t *testing.T) {
+	db := testDB(1, 750, 30)
+	windows, err := db.PartitionByCount(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := defaultCfg()
 	cfg.ContentIndex = true
-	heap := build(t, cfg)
+	heap := New(db.Dict, cfg)
+	for _, w := range windows[:4] {
+		if err := heap.AppendWindow(w); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mapped := openMapped(t, saveMapped(t, heap))
 
 	if got := mapped.LoadMode(); got != "bytes" {
@@ -180,17 +191,18 @@ func TestSaveMappedOpenDifferential(t *testing.T) {
 		}
 	}
 
-	// The strongest equivalence check: both frameworks emit byte-identical
-	// legacy streams, so every bit of knowledge-base state round-tripped.
-	var hs, ms bytes.Buffer
-	if err := heap.Save(&hs); err != nil {
-		t.Fatal(err)
+	// The strongest equivalence check: once one more window has promoted the
+	// mapped framework, its archive and rule dictionary are re-encoded from
+	// heap copies rather than passed through, and both frameworks still emit
+	// byte-identical containers — every bit of knowledge-base state
+	// round-tripped.
+	for _, f := range []*Framework{heap, mapped} {
+		if err := f.AppendWindow(windows[4]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mapped.Save(&ms); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(hs.Bytes(), ms.Bytes()) {
-		t.Fatal("legacy Save bytes differ between heap and mapped frameworks")
+	if !bytes.Equal(saveMapped(t, heap), saveMapped(t, mapped)) {
+		t.Fatal("SaveMapped bytes differ between heap and promoted mapped frameworks")
 	}
 }
 
@@ -230,22 +242,8 @@ func TestMappedFrameworkExtendable(t *testing.T) {
 	}
 	sameViews(t, "mine after append", hv, mv)
 
-	var hs, ms bytes.Buffer
-	if err := heap.Save(&hs); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.Save(&ms); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(hs.Bytes(), ms.Bytes()) {
-		t.Fatal("legacy Save bytes differ after appending to a mapped framework")
-	}
-
-	// And the mapped stream re-saves identically too.
-	img2 := saveMapped(t, mapped)
-	img1 := saveMapped(t, heap)
-	if !bytes.Equal(img1, img2) {
-		t.Fatal("mapped Save bytes differ after appending to a mapped framework")
+	if !bytes.Equal(saveMapped(t, heap), saveMapped(t, mapped)) {
+		t.Fatal("SaveMapped bytes differ after appending to a mapped framework")
 	}
 }
 
@@ -256,29 +254,162 @@ func TestSaveMappedDeterministic(t *testing.T) {
 	}
 }
 
-func TestOpenAutoDetect(t *testing.T) {
+// TestSaveDeterministic: saving a reopened knowledge base reproduces the
+// file it was opened from.
+func TestSaveDeterministic(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.ContentIndex = true
-	f := build(t, cfg)
-	dir := t.TempDir()
+	img := saveMapped(t, build(t, cfg))
+	if !bytes.Equal(img, saveMapped(t, openMapped(t, img))) {
+		t.Error("re-saving a reopened knowledge base changed its bytes")
+	}
+}
 
-	legacy := filepath.Join(dir, "legacy.kb")
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
+func TestSaveLoadRoundTrip(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.ContentIndex = true
+	orig := build(t, cfg)
+	loaded := openMapped(t, saveMapped(t, orig))
+
+	if loaded.Windows() != orig.Windows() {
+		t.Fatalf("windows: %d vs %d", loaded.Windows(), orig.Windows())
 	}
-	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	if loaded.RuleDict().Len() != orig.RuleDict().Len() {
+		t.Fatalf("rules: %d vs %d", loaded.RuleDict().Len(), orig.RuleDict().Len())
 	}
-	lf, err := Open(legacy)
+	if loaded.ItemDict().Len() != orig.ItemDict().Len() {
+		t.Fatalf("items: %d vs %d", loaded.ItemDict().Len(), orig.ItemDict().Len())
+	}
+	lc, oc := loaded.Config(), orig.Config()
+	if lc.GenMinSupport != oc.GenMinSupport || lc.GenMinConf != oc.GenMinConf ||
+		lc.MaxItemsetLen != oc.MaxItemsetLen || lc.ContentIndex != oc.ContentIndex {
+		t.Fatalf("config: %+v vs %+v", lc, oc)
+	}
+
+	// Window metadata round trips.
+	for w := 0; w < orig.Windows(); w++ {
+		ow, _ := orig.Window(w)
+		lw, _ := loaded.Window(w)
+		if ow != lw {
+			t.Errorf("window %d: %+v vs %+v", w, lw, ow)
+		}
+	}
+
+	// Every query answers identically on the loaded framework.
+	for w := 0; w < orig.Windows(); w++ {
+		a, err := orig.Mine(w, 0.05, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := loaded.Mine(w, 0.05, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("window %d: %d vs %d rules", w, len(a), len(b))
+		}
+		bk := map[string]rules.Stats{}
+		for _, v := range b {
+			bk[v.Rule.Key()] = v.Stats
+		}
+		for _, v := range a {
+			if st, ok := bk[v.Rule.Key()]; !ok || st != v.Stats {
+				t.Fatalf("window %d: rule %v differs after reload", w, v.Rule)
+			}
+		}
+	}
+
+	// Rule names survive (dictionary order preserved).
+	views, err := loaded.Mine(0, 0.05, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lf.Close()
-	if lf.LoadMode() != "heap" {
-		t.Errorf("legacy LoadMode = %q, want heap", lf.LoadMode())
+	origViews, _ := orig.Mine(0, 0.05, 0.2)
+	if views[0].Rule.Format(loaded.ItemDict()) != origViews[0].Rule.Format(orig.ItemDict()) {
+		t.Error("item names differ after reload")
 	}
 
+	// Content-indexed query works on the reloaded knowledge base.
+	name := loaded.ItemDict().Name(views[0].Rule.Items()[0])
+	if _, err := loaded.RulesAbout(0, 0.05, 0.2, []string{name}); err != nil {
+		t.Errorf("RulesAbout after reload: %v", err)
+	}
+
+	// Roll-up also answers identically.
+	ra, err := orig.MineRollUp(0, 3, 0.05, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := loaded.MineRollUp(0, 3, 0.05, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ra) != len(rb) {
+		t.Fatalf("roll-up: %d vs %d rules", len(ra), len(rb))
+	}
+}
+
+func TestLoadedFrameworkExtendable(t *testing.T) {
+	// AppendWindow after reopening continues the stream.
+	db := testDB(12, 600, 25)
+	windows, err := db.PartitionByCount(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(db.Dict, defaultCfg())
+	for _, w := range windows[:3] {
+		if err := f.AppendWindow(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded := openMapped(t, saveMapped(t, f))
+	// Item ids in windows[3] refer to db.Dict; the saved dict preserved id
+	// order, so appending is valid.
+	if err := loaded.AppendWindow(windows[3]); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Windows() != 4 {
+		t.Fatalf("windows = %d", loaded.Windows())
+	}
+	if _, err := loaded.Mine(3, 0.05, 0.2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLoadErrors(t *testing.T) {
+	if _, err := OpenBytes(nil); err == nil {
+		t.Error("empty image accepted")
+	}
+	if _, err := OpenBytes([]byte("GARBAGE!")); err == nil {
+		t.Error("bad magic accepted")
+	}
+	img := saveMapped(t, build(t, defaultCfg()))
+	trunc := img[: len(img)/2 : len(img)/2]
+	if _, err := OpenBytes(trunc); err == nil {
+		t.Error("truncated image accepted")
+	}
+}
+
+// TestOpenRejectsTARAKB1: a knowledge base in the removed TARAKB1 stream
+// format is refused by both entry points with the instruction to rebuild it,
+// while a TARAKB2 file opens mapped.
+func TestOpenRejectsTARAKB1(t *testing.T) {
+	dir := t.TempDir()
+	// A TARAKB1 stream opened with its magic and two float64 thresholds.
+	old := append([]byte("TARAKB1\n"), make([]byte, 24)...)
+	oldPath := filepath.Join(dir, "old.kb")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := Open(oldPath)
+	_, bytesErr := OpenBytes(old)
+	for name, err := range map[string]error{"Open": openErr, "OpenBytes": bytesErr} {
+		if err == nil || !strings.Contains(err.Error(), "TARAKB1") || !strings.Contains(err.Error(), "tara -load") {
+			t.Errorf("%s of a TARAKB1 file: err = %v, want the rebuild instruction", name, err)
+		}
+	}
+
+	f := build(t, defaultCfg())
 	mappedPath := filepath.Join(dir, "mapped.kb")
 	if err := os.WriteFile(mappedPath, saveMapped(t, f), 0o644); err != nil {
 		t.Fatal(err)
@@ -291,9 +422,6 @@ func TestOpenAutoDetect(t *testing.T) {
 	if m := mf.LoadMode(); m != "mmap" && m != "readerat" {
 		t.Errorf("mapped LoadMode = %q, want mmap or readerat", m)
 	}
-	if mf.Windows() != f.Windows() {
-		t.Fatalf("windows: %d vs %d", mf.Windows(), f.Windows())
-	}
 	hv, err := f.Mine(0, 0.05, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -303,16 +431,6 @@ func TestOpenAutoDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameViews(t, "mine via Open", hv, mv)
-
-	// Load detects a container stream arriving through the legacy entry.
-	bf, err := Load(bytes.NewReader(saveMapped(t, f)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bf.Close()
-	if bf.LoadMode() != "bytes" {
-		t.Errorf("Load of container LoadMode = %q, want bytes", bf.LoadMode())
-	}
 
 	if _, err := Open(filepath.Join(dir, "missing.kb")); err == nil {
 		t.Error("Open of missing file succeeded")

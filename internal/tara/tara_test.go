@@ -705,10 +705,10 @@ func TestConcurrentAppendAndQueries(t *testing.T) {
 					fail(fmt.Errorf("summary lost windows: %d", s.Windows))
 					return
 				}
-				// Snapshot the knowledge base every few iterations; Save is
-				// the heaviest reader.
+				// Snapshot the knowledge base every few iterations; SaveMapped
+				// is the heaviest reader.
 				if i%4 == 0 {
-					if err := f.Save(discard{}); err != nil {
+					if err := f.SaveMapped(discard{}); err != nil {
 						fail(err)
 						return
 					}
@@ -747,7 +747,7 @@ func TestConcurrentAppendAndQueries(t *testing.T) {
 	}
 }
 
-// discard is an io.Writer sink for exercising Save under concurrency.
+// discard is an io.Writer sink for exercising SaveMapped under concurrency.
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
