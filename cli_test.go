@@ -1,14 +1,12 @@
 package tara_bench
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"tara/internal/query"
 )
@@ -152,7 +150,8 @@ func TestCLITaraHelpListsEveryClass(t *testing.T) {
 
 // TestCLITaraServeUsage checks that `tara serve` exposes the daemon's flag
 // set (internal/server.Run is the single flag source shared with cmd/tarad),
-// including the admission flags, via -h.
+// including the admission flags, via -h. There is one admission policy, so
+// the old -admission selector is an undefined flag.
 func TestCLITaraServeUsage(t *testing.T) {
 	bin := buildTool(t, "./cmd/tara")
 	cmd := exec.Command(bin, "serve", "-h")
@@ -161,9 +160,24 @@ func TestCLITaraServeUsage(t *testing.T) {
 		t.Errorf("serve -h exited 0; want the help-requested error path:\n%s", out)
 	}
 	text := string(out)
-	for _, flagName := range []string{"-addr", "-admission", "-minlimit", "-maxinflight", "-queuewait", "-kb", "-mmap", "-admissionwindow", "-admissiontolerance"} {
+	for _, flagName := range []string{"-addr", "-minlimit", "-maxinflight", "-queuewait", "-kb", "-mmap", "-admissionwindow", "-admissiontolerance"} {
 		if !strings.Contains(text, "\n  "+flagName+" ") && !strings.Contains(text, "\n  "+flagName+"\n") {
 			t.Errorf("serve -h output missing %s:\n%s", flagName, text)
+		}
+	}
+	tarad := buildTool(t, "./cmd/tarad")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-admission", "static"}, "flag provided but not defined: -admission"},
+		// Below one slot per QoS class the analytic class could never be
+		// admitted; the daemon refuses to start rather than shed it forever.
+		{[]string{"-tx", "300", "-items", "30", "-batches", "2", "-maxinflight", "1"}, "MaxInFlight 1"},
+	} {
+		out, err := exec.Command(tarad, c.args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Errorf("tarad %v: err=%v, want a failure naming %q:\n%s", c.args, err, c.want, out)
 		}
 	}
 }
@@ -187,20 +201,10 @@ func TestCLITarabench(t *testing.T) {
 	}
 	// An unknown experiment — made up, or one of the performance experiments
 	// benchmark/ replaced — must fail with a clear message.
-	for _, id := range []string{"fig99", "online"} {
+	for _, id := range []string{"fig99", "online", "load"} {
 		combined, err := exec.Command(bin, "-exp", id).CombinedOutput()
 		if err == nil || !strings.Contains(string(combined), "unknown experiment") {
 			t.Errorf("-exp %s: err=%v, want the unknown-experiment failure:\n%s", id, err, combined)
-		}
-	}
-	// A rate the open-loop generator cannot run at is refused at once (it
-	// used to hang the arrival loop), naming the value.
-	for _, rates := range []string{"0,100", "-1", "NaN", "+Inf"} {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		combined, err := exec.CommandContext(ctx, bin, "-exp", "load", "-loadrates", rates).CombinedOutput()
-		cancel()
-		if err == nil || !strings.Contains(string(combined), "-loadrates") {
-			t.Errorf("-loadrates %s: err=%v, want a -loadrates error:\n%s", rates, err, combined)
 		}
 	}
 }

@@ -45,9 +45,8 @@ func RunTab4(w io.Writer, _ float64) error {
 }
 
 // Experiments maps the ids of the paper's evaluation (Figures 6–12, Tables
-// 1–4, the roll-up bound) to their runners; "all" runs exactly these. The
-// open-loop load experiment is not part of the paper and is reached through
-// LoadBench.
+// 1–4, the roll-up bound) to their runners; "all" runs exactly these.
+// Performance of the shipped binaries is benchmark/'s job, not this table's.
 var Experiments = map[string]func(io.Writer, float64) error{
 	"tab1":   RunTab1,
 	"fig6":   RunFig6,

@@ -199,8 +199,7 @@ func TestRunDispatcher(t *testing.T) {
 		t.Error("no output from tab4")
 	}
 	// Neither a made-up id nor a performance experiment benchmark/ replaced
-	// nor the open-loop load experiment (cmd/tarabench dispatches that one
-	// itself) is a paper experiment, so "all" runs none of them.
+	// (online, load) is a paper experiment, so "all" runs none of them.
 	for _, id := range []string{"fig99", "online", "load"} {
 		if err := Run(id, &buf, 1); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("Run(%q) = %v, want the unknown-experiment error", id, err)

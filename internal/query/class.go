@@ -17,8 +17,9 @@ type Class struct {
 	// Route is the HTTP path tarad serves the class under; empty for a
 	// CLI-only class.
 	Route string
-	// Interactive marks the cheap single-window point lookups, which adaptive
-	// admission keeps schedulable while the multi-window scans are shed.
+	// Interactive marks the cheap single-window point lookups, which the
+	// daemon's admission layer keeps schedulable while the multi-window scans
+	// are shed.
 	Interactive bool
 	// Usage is the parameter synopsis shown by help: optional parameters in
 	// brackets, alternatives separated by '|'.

@@ -9,15 +9,15 @@ import (
 	"tara/internal/obs"
 )
 
-// Adaptive admission control.
+// Admission control.
 //
-// The static in-flight cap (Config.MaxInFlight, a buffered channel) is the
-// right shape but the wrong number on every box except the one it was tuned
-// on: too high and overload shows up as queueing delay and timeout storms
-// before a single request sheds; too low and the box idles while clients are
-// refused. Adaptive mode replaces the fixed cap with a latency-feedback
-// AIMD controller over a dynamic-limit semaphore, keeping MaxInFlight as the
-// hard upper bound and -admission=static as the untouched legacy path.
+// A fixed in-flight cap is the right shape but the wrong number on every box
+// except the one it was tuned on: too high and overload shows up as queueing
+// delay and timeout storms before a single request sheds; too low and the box
+// idles while clients are refused. So every Server admits through a
+// latency-feedback AIMD controller over a dynamic-limit semaphore, with
+// Config.MaxInFlight as the hard upper bound. A fixed cap is the special case
+// MinLimit = MaxInFlight.
 //
 // Two layers:
 //
@@ -30,7 +30,9 @@ import (
 //     borrow idle slots, but never the last free slot of a class still
 //     below its guarantee — so during a shed episode the expensive classes
 //     cannot starve the cheap ones, while an idle
-//     class's share stays available for borrowing (work-conserving).
+//     class's share stays available for borrowing (work-conserving). That
+//     reserve is why the limit never drops below numQoSClasses: at limit 1
+//     the analytic class could never be admitted.
 //
 //   - aimdController: additive-increase / multiplicative-decrease on the
 //     semaphore's limit, driven by the p99 of admitted-request service
@@ -298,18 +300,13 @@ type aimdConfig struct {
 	WindowCap int
 }
 
+// defaultAIMDConfig starts cold at min. New has already checked that
+// numQoSClasses <= min <= max.
 func defaultAIMDConfig(min, max int) aimdConfig {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	initial := min
 	return aimdConfig{
 		Min:           min,
 		Max:           max,
-		Initial:       initial,
+		Initial:       min,
 		Window:        200 * time.Millisecond,
 		MinSamples:    20,
 		Tolerance:     2.0,
@@ -320,7 +317,7 @@ func defaultAIMDConfig(min, max int) aimdConfig {
 	}
 }
 
-// aimdController owns the qosSem limit in adaptive mode. observe is called
+// aimdController owns the qosSem limit. observe is called
 // once per admitted request (with the slot still held, so the semaphore's
 // occupancy includes the observer); everything else is read-only telemetry.
 type aimdController struct {
@@ -467,10 +464,11 @@ type AdmissionClassSnapshot struct {
 
 // AdmissionSnapshot is the admission layer's /metrics block.
 type AdmissionSnapshot struct {
-	// Mode is "static", "adaptive" or "unlimited".
+	// Mode is always "adaptive"; it is kept so /metrics readers and the
+	// tarad_admission_info series keep their shape.
 	Mode string `json:"mode"`
-	// Limit is the in-flight cap in force right now (-1 when unlimited);
-	// adaptive mode moves it within [MinLimit, MaxLimit].
+	// Limit is the in-flight cap in force right now; the controller moves it
+	// within [MinLimit, MaxLimit].
 	Limit    int `json:"limit"`
 	MinLimit int `json:"minLimit,omitempty"`
 	MaxLimit int `json:"maxLimit,omitempty"`
@@ -484,7 +482,7 @@ type AdmissionSnapshot struct {
 	Classes           []AdmissionClassSnapshot `json:"classes,omitempty"`
 }
 
-// snapshot assembles the adaptive admission view. Per-class outcome counters
+// snapshot assembles the admission view. Per-class outcome counters
 // are loaded before requests (and borrowed before admitted), preserving the
 // registry-wide snapshot invariants under concurrent traffic.
 func (c *aimdController) snapshot() AdmissionSnapshot {

@@ -293,11 +293,11 @@ func TestAIMDBoundsProperty(t *testing.T) {
 	}
 }
 
-// TestAdaptiveServerEndToEnd boots a server in adaptive mode, serves mixed
+// TestAdaptiveServerEndToEnd boots a server, serves mixed
 // classes, and checks the admission block on /metrics JSON and the
 // Prometheus exposition (including conformance of the new series).
 func TestAdaptiveServerEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{AdmissionMode: "adaptive", MaxInFlight: 8, MinLimit: 2, ByteCacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 8, MinLimit: 2, ByteCacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -373,22 +373,65 @@ func TestAdaptiveServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdaptiveModeValidation covers constructor-time rejection.
+// TestAdaptiveModeValidation covers the constructor's limit defaults: the
+// zero Config is the daemon's default bounds, and a MinLimit above
+// MaxInFlight clamps instead of failing.
 func TestAdaptiveModeValidation(t *testing.T) {
 	fw := testFramework(t)
-	if _, err := New(Config{Framework: fw, Logger: quietLogger(), AdmissionMode: "adaptive", MaxInFlight: -1}); err == nil {
-		t.Error("adaptive + unlimited MaxInFlight accepted, want error")
+	s, err := New(Config{Framework: fw, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Framework: fw, Logger: quietLogger(), AdmissionMode: "gradient"}); err == nil {
-		t.Error("unknown admission mode accepted, want error")
+	if a := s.ctrl.snapshot(); a.MinLimit != 2 || a.MaxLimit != 256 || a.Limit != 2 {
+		t.Errorf("zero Config: limit %d in [%d,%d], want 2 in [2,256]", a.Limit, a.MinLimit, a.MaxLimit)
 	}
-	// MinLimit above MaxInFlight clamps instead of failing.
-	s, err := New(Config{Framework: fw, Logger: quietLogger(), AdmissionMode: "adaptive", MaxInFlight: 4, MinLimit: 99})
+	s, err = New(Config{Framework: fw, Logger: quietLogger(), MaxInFlight: 4, MinLimit: 99})
 	if err != nil {
 		t.Fatalf("MinLimit > MaxInFlight: %v", err)
 	}
-	if got := s.Admission().Limit; got != 4 {
+	if got := s.ctrl.snapshot().Limit; got != 4 {
 		t.Errorf("clamped limit = %d, want 4", got)
+	}
+}
+
+// TestAdmissionLimitFloor: a limit below one slot per QoS class is refused,
+// naming the field and the value. At limit 1 the analytic guarantee is 0 and
+// a borrower must leave the last slot to interactive, so an idle server shed
+// every analytic request forever; a negative MaxInFlight used to mean "no
+// limiter".
+func TestAdmissionLimitFloor(t *testing.T) {
+	fw := testFramework(t)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{MinLimit: -1}, "MinLimit -1"},
+		{Config{MinLimit: 1}, "MinLimit 1"},
+		{Config{MaxInFlight: 8, MinLimit: 1}, "MinLimit 1"},
+		{Config{MaxInFlight: -1}, "MaxInFlight -1"},
+		{Config{MaxInFlight: 1}, "MaxInFlight 1"},
+	} {
+		c.cfg.Framework, c.cfg.Logger = fw, quietLogger()
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("MaxInFlight %d, MinLimit %d: err = %v, want an error naming %q",
+				c.cfg.MaxInFlight, c.cfg.MinLimit, err, c.want)
+		}
+	}
+}
+
+// TestSmallestLimitAdmitsEveryClass: at the smallest accepted limit an idle
+// server admits one request of each QoS class.
+func TestSmallestLimitAdmitsEveryClass(t *testing.T) {
+	s := newTestServer(t, Config{MaxInFlight: numQoSClasses, ByteCacheSize: -1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, p := range []string{
+		"/mine?w=0&supp=0.02&conf=0.2",                  // interactive
+		"/trajectory?w=0&supp=0.02&conf=0.2&in=0,1,2,3", // analytic
+	} {
+		if st, body := get(t, ts.URL, p); st != http.StatusOK {
+			t.Errorf("GET %s on an idle server at limit %d: %d: %s", p, numQoSClasses, st, body)
+		}
 	}
 }
 
@@ -398,7 +441,7 @@ func TestAdaptiveModeValidation(t *testing.T) {
 func TestAdmissionConfigOverrides(t *testing.T) {
 	fw := testFramework(t)
 	s, err := New(Config{
-		Framework: fw, Logger: quietLogger(), AdmissionMode: "adaptive", MaxInFlight: 8,
+		Framework: fw, Logger: quietLogger(), MaxInFlight: 8,
 		AdmissionWindow:    50 * time.Millisecond,
 		AdmissionTolerance: 3.5,
 	})
@@ -411,7 +454,7 @@ func TestAdmissionConfigOverrides(t *testing.T) {
 	if got := s.ctrl.cfg.Tolerance; got != 3.5 {
 		t.Errorf("Tolerance = %v, want 3.5", got)
 	}
-	s, err = New(Config{Framework: fw, Logger: quietLogger(), AdmissionMode: "adaptive", MaxInFlight: 8})
+	s, err = New(Config{Framework: fw, Logger: quietLogger(), MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +473,7 @@ func TestAdmissionToleranceRejected(t *testing.T) {
 	fw := testFramework(t)
 	for _, tol := range []float64{math.NaN(), math.Inf(1), -1, 0.5} {
 		_, err := New(Config{
-			Framework: fw, Logger: quietLogger(), AdmissionMode: "adaptive", MaxInFlight: 8,
+			Framework: fw, Logger: quietLogger(), MaxInFlight: 8,
 			AdmissionTolerance: tol,
 		})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(tol)) {
@@ -447,9 +490,8 @@ func TestAdmissionToleranceRejected(t *testing.T) {
 // bounds. Run with -race.
 func TestAdaptiveShedOrderingConsistency(t *testing.T) {
 	s := newTestServer(t, Config{
-		AdmissionMode: "adaptive",
-		MinLimit:      1,
-		MaxInFlight:   2,
+		MinLimit:      2,
+		MaxInFlight:   4,
 		ByteCacheSize: -1,
 	})
 	s.delay = func(string) { time.Sleep(200 * time.Microsecond) }
@@ -481,7 +523,7 @@ func TestAdaptiveShedOrderingConsistency(t *testing.T) {
 	deadline := time.Now().Add(300 * time.Millisecond)
 	var sawShed bool
 	for time.Now().Before(deadline) {
-		a := s.Admission()
+		a := s.ctrl.snapshot()
 		if a.Limit < a.MinLimit || a.Limit > a.MaxLimit {
 			t.Fatalf("limit %d outside [%d,%d]", a.Limit, a.MinLimit, a.MaxLimit)
 		}
@@ -506,9 +548,9 @@ func TestAdaptiveShedOrderingConsistency(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if !sawShed {
-		t.Error("expected per-class sheds with maxinflight 2 and 8 clients")
+		t.Error("expected per-class sheds with maxinflight 4 and 8 clients")
 	}
-	if got := s.Admission().InFlight; got != 0 {
+	if got := s.ctrl.snapshot().InFlight; got != 0 {
 		t.Errorf("inFlight=%d after traffic stopped, want 0", got)
 	}
 }
@@ -524,7 +566,7 @@ func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 	}
 	usage := buf.String()
 	for _, flagName := range []string{
-		"-addr", "-maxinflight", "-queuewait", "-admission", "-minlimit",
+		"-addr", "-maxinflight", "-queuewait", "-minlimit",
 		"-admissionwindow", "-admissiontolerance",
 		"-timeout", "-bytecache", "-gzip", "-slowtraces", "-mmap",
 	} {
@@ -533,7 +575,7 @@ func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 			t.Errorf("usage output missing %s:\n%s", flagName, usage)
 		}
 	}
-	for _, def := range []string{"(default 256)", "(default \"adaptive\")", "(default 2)", "(default 200ms)"} {
+	for _, def := range []string{"(default 256)", "(default 2)", "(default 200ms)"} {
 		if !strings.Contains(usage, def) {
 			t.Errorf("usage output missing default %q", def)
 		}

@@ -46,8 +46,8 @@ func getWithHeaders(t *testing.T, base, path string, hdr map[string]string) (int
 // under -race this doubles as the cache's data-race check.
 func TestByteCacheDifferential(t *testing.T) {
 	fw := testFramework(t)
-	cached := newTestServer(t, Config{})                 // byte cache on (default size)
-	plain := newTestServer(t, Config{ByteCacheSize: -1}) // byte cache off
+	cached := newTestServer(t, Config{MinLimit: fixedCap})                   // byte cache on (default size)
+	plain := newTestServer(t, Config{ByteCacheSize: -1, MinLimit: fixedCap}) // byte cache off
 	tsCached := httptest.NewServer(cached.Handler())
 	defer tsCached.Close()
 	tsPlain := httptest.NewServer(plain.Handler())

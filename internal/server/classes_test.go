@@ -17,7 +17,7 @@ import (
 // route on /metrics with its operation name as the class label, and admitted
 // under the QoS class the table declares.
 func TestEveryClassRouteIsRegistered(t *testing.T) {
-	s := newTestServer(t, Config{AdmissionMode: "adaptive"})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var interactive, analytic uint64

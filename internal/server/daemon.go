@@ -30,11 +30,10 @@ func Run(args []string, stderr io.Writer) error {
 		openKB   = KBFlags(fs)
 		addr     = fs.String("addr", "127.0.0.1:8775", "listen address")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request timeout")
-		inflight = fs.Int("maxinflight", 256, "max concurrently executing queries (-1 = unlimited; in adaptive mode, the controller's upper bound)")
-		adm      = fs.String("admission", "adaptive", "in-flight admission policy: adaptive (AIMD latency-feedback limit with per-class QoS guarantees) or static (fixed -maxinflight cap, the legacy behavior)")
-		minLimit = fs.Int("minlimit", 2, "adaptive admission's lowest (and cold-start) in-flight limit")
-		admWin   = fs.Duration("admissionwindow", 200*time.Millisecond, "adaptive admission's AIMD decision cadence")
-		admTol   = fs.Float64("admissiontolerance", 2.0, "adaptive admission's p99 breach tolerance over the baseline")
+		inflight = fs.Int("maxinflight", 256, "max concurrently executing queries: the upper bound of the AIMD latency-feedback admission limit (at least 2, one slot per QoS class)")
+		minLimit = fs.Int("minlimit", 2, "admission's lowest (and cold-start) in-flight limit (at least 2; equal to -maxinflight for a fixed cap)")
+		admWin   = fs.Duration("admissionwindow", 200*time.Millisecond, "admission controller's AIMD decision cadence")
+		admTol   = fs.Float64("admissiontolerance", 2.0, "admission controller's p99 breach tolerance over the baseline")
 		qwait    = fs.Duration("queuewait", 0, "max time a request may queue for an in-flight slot before 429 (0 = shed immediately)")
 		pprofOn  = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowN    = fs.Int("slowtraces", 32, "slowest request traces retained for /debug/slow")
@@ -84,19 +83,11 @@ func Run(args []string, stderr io.Writer) error {
 	if !*gzipOn {
 		gzMin = -1
 	}
-	admMode := *adm
-	if *inflight < 0 && admMode == "adaptive" {
-		// -maxinflight -1 asks for no limiter at all; honor it rather than
-		// erroring out of the adaptive default.
-		log.Info("admission disabled: -maxinflight -1 overrides -admission adaptive")
-		admMode = "static"
-	}
 	s, err := New(Config{
 		Framework:          fw,
 		Logger:             log,
 		RequestTimeout:     *timeout,
 		MaxInFlight:        *inflight,
-		AdmissionMode:      admMode,
 		MinLimit:           *minLimit,
 		AdmissionWindow:    *admWin,
 		AdmissionTolerance: *admTol,

@@ -70,7 +70,7 @@ func gunzip(t *testing.T, b []byte) []byte {
 // as the variant derivation's data-race check.
 func TestGzipIdentityDifferential(t *testing.T) {
 	fw := testFramework(t)
-	s := newTestServer(t, Config{GzipMinBytes: 1}) // compress every cacheable body
+	s := newTestServer(t, Config{GzipMinBytes: 1, MinLimit: fixedCap}) // compress every cacheable body
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -249,7 +249,7 @@ func TestGzipConditionalAndDisabled(t *testing.T) {
 // the encode seam while the rest of the herd arrives, and on release every
 // request answers 200 with identical bodies off that single encode.
 func TestSingleflightColdMiss(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{MinLimit: fixedCap})
 	release := make(chan struct{})
 	var hookCalls atomic.Int32
 	s.encodeHook = func() {

@@ -81,7 +81,7 @@ type registry struct {
 	kbLoadMode   string
 	kbLoadMillis int64
 	// admission, when set, contributes the admission layer's snapshot
-	// (mode, limit in force, per-QoS-class counters) to /metrics.
+	// (limit in force, per-QoS-class counters) to /metrics.
 	admission func() AdmissionSnapshot
 	// trajStats, when set, contributes the columnar trajectory snapshot's
 	// state (generation, dimensions, resident bytes, rebuild count).
@@ -187,10 +187,9 @@ type MetricsSnapshot struct {
 	KBArchiveBytes  int    `json:"kbArchiveBytes"`
 	KBArchiveMapped bool   `json:"kbArchiveMapped"`
 	Shed            uint64 `json:"shed"`
-	// Admission is the in-flight admission layer's view: the mode in force,
-	// the current (possibly controller-moved) limit, and in adaptive mode
-	// the AIMD decision counters plus per-QoS-class limit/shed/borrow
-	// counters.
+	// Admission is the in-flight admission layer's view: the current
+	// (controller-moved) limit, the AIMD decision counters, and the
+	// per-QoS-class limit/shed/borrow counters.
 	Admission AdmissionSnapshot `json:"admission"`
 	// Runtime is the Go runtime's resource view: heap, GC cycles, and the
 	// GC-pause and scheduler-latency distributions.

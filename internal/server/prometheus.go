@@ -133,10 +133,9 @@ func (r *registry) writePrometheus(w http.ResponseWriter) {
 }
 
 // writeAdmission renders the admission layer: the limit in force (labeled
-// per QoS class, with class="total" for the whole semaphore), occupancy, and
-// — in adaptive mode — the controller's baseline, its per-window decision
-// counters, and the per-class shed/borrow counters the QoS weighting exists
-// to explain.
+// per QoS class, with class="total" for the whole semaphore), occupancy, the
+// per-class shed/borrow counters the QoS weighting exists to explain, and
+// the controller's baseline and per-window decision counters.
 func writeAdmission(w io.Writer, a AdmissionSnapshot) {
 	fmt.Fprintf(w, "# HELP tarad_admission_info Admission mode in force; the value is always 1.\n# TYPE tarad_admission_info gauge\ntarad_admission_info{mode=%q} 1\n", a.Mode)
 	fmt.Fprintln(w, "# HELP tarad_admission_limit In-flight limit in force, by QoS class (class=\"total\" is the whole semaphore; per-class values are guaranteed shares).")
@@ -151,31 +150,27 @@ func writeAdmission(w io.Writer, a AdmissionSnapshot) {
 	for _, c := range a.Classes {
 		fmt.Fprintf(w, "tarad_admission_in_flight{class=%q} %d\n", c.Class, c.InFlight)
 	}
-	if len(a.Classes) > 0 {
-		fmt.Fprintln(w, "# HELP tarad_admission_requests_total Admission attempts, by QoS class.")
-		fmt.Fprintln(w, "# TYPE tarad_admission_requests_total counter")
-		for _, c := range a.Classes {
-			fmt.Fprintf(w, "tarad_admission_requests_total{class=%q} %d\n", c.Class, c.Requests)
-		}
-		fmt.Fprintln(w, "# HELP tarad_admission_shed_total Admission attempts refused (429), by QoS class.")
-		fmt.Fprintln(w, "# TYPE tarad_admission_shed_total counter")
-		for _, c := range a.Classes {
-			fmt.Fprintf(w, "tarad_admission_shed_total{class=%q} %d\n", c.Class, c.Shed)
-		}
-		fmt.Fprintln(w, "# HELP tarad_admission_borrowed_total Admissions that borrowed another QoS class's idle share.")
-		fmt.Fprintln(w, "# TYPE tarad_admission_borrowed_total counter")
-		for _, c := range a.Classes {
-			fmt.Fprintf(w, "tarad_admission_borrowed_total{class=%q} %d\n", c.Class, c.Borrowed)
-		}
+	fmt.Fprintln(w, "# HELP tarad_admission_requests_total Admission attempts, by QoS class.")
+	fmt.Fprintln(w, "# TYPE tarad_admission_requests_total counter")
+	for _, c := range a.Classes {
+		fmt.Fprintf(w, "tarad_admission_requests_total{class=%q} %d\n", c.Class, c.Requests)
 	}
-	if a.Mode == "adaptive" {
-		writeGauge(w, "tarad_admission_baseline_p99_seconds", "AIMD controller's drift-bounded minimum of windowed p99 service latency.", a.BaselineP99Micros/1e6)
-		fmt.Fprintln(w, "# HELP tarad_admission_limit_changes_total AIMD controller limit decisions, by direction (hold = no change).")
-		fmt.Fprintln(w, "# TYPE tarad_admission_limit_changes_total counter")
-		fmt.Fprintf(w, "tarad_admission_limit_changes_total{direction=\"up\"} %d\n", a.Increases)
-		fmt.Fprintf(w, "tarad_admission_limit_changes_total{direction=\"down\"} %d\n", a.Decreases)
-		fmt.Fprintf(w, "tarad_admission_limit_changes_total{direction=\"hold\"} %d\n", a.Holds)
+	fmt.Fprintln(w, "# HELP tarad_admission_shed_total Admission attempts refused (429), by QoS class.")
+	fmt.Fprintln(w, "# TYPE tarad_admission_shed_total counter")
+	for _, c := range a.Classes {
+		fmt.Fprintf(w, "tarad_admission_shed_total{class=%q} %d\n", c.Class, c.Shed)
 	}
+	fmt.Fprintln(w, "# HELP tarad_admission_borrowed_total Admissions that borrowed another QoS class's idle share.")
+	fmt.Fprintln(w, "# TYPE tarad_admission_borrowed_total counter")
+	for _, c := range a.Classes {
+		fmt.Fprintf(w, "tarad_admission_borrowed_total{class=%q} %d\n", c.Class, c.Borrowed)
+	}
+	writeGauge(w, "tarad_admission_baseline_p99_seconds", "AIMD controller's drift-bounded minimum of windowed p99 service latency.", a.BaselineP99Micros/1e6)
+	fmt.Fprintln(w, "# HELP tarad_admission_limit_changes_total AIMD controller limit decisions, by direction (hold = no change).")
+	fmt.Fprintln(w, "# TYPE tarad_admission_limit_changes_total counter")
+	fmt.Fprintf(w, "tarad_admission_limit_changes_total{direction=\"up\"} %d\n", a.Increases)
+	fmt.Fprintf(w, "tarad_admission_limit_changes_total{direction=\"down\"} %d\n", a.Decreases)
+	fmt.Fprintf(w, "tarad_admission_limit_changes_total{direction=\"hold\"} %d\n", a.Holds)
 }
 
 func writeGauge(w io.Writer, name, help string, v float64) {

@@ -70,10 +70,10 @@
 //
 // Requests are served concurrently; the Framework's query methods are safe
 // against a writer appending windows, so a daemon can stay up while the
-// knowledge base grows. Each request is bounded by a timeout, and an
-// in-flight limiter sheds excess load with 429 instead of queueing without
-// bound: a fixed cap in static admission mode, a latency-feedback limit with
-// per-class guarantees in adaptive mode (admission.go).
+// knowledge base grows. Each request is bounded by a timeout, and the
+// admission layer sheds excess load with 429 instead of queueing without
+// bound: a latency-feedback in-flight limit with per-class guarantees
+// (admission.go).
 package server
 
 import (
@@ -107,28 +107,24 @@ type Config struct {
 	// exceed it answer 503. Defaults to 10s.
 	RequestTimeout time.Duration
 	// MaxInFlight caps concurrently executing query requests; excess
-	// requests are shed with 429. Defaults to 256. Negative disables the
-	// limiter. In adaptive mode this is the controller's hard upper bound.
+	// requests are shed with 429. It is the hard upper bound of the AIMD
+	// latency-feedback controller, which moves the limit within [MinLimit,
+	// MaxInFlight] while weighted per-QoS-class guarantees keep cheap query
+	// classes schedulable during shed episodes (see admission.go). Zero
+	// selects 256; otherwise it must be at least one slot per QoS class (2).
 	MaxInFlight int
-	// AdmissionMode selects the in-flight admission policy: "static" (a
-	// fixed MaxInFlight cap) or "adaptive" (an AIMD latency-feedback
-	// controller moves the limit within [MinLimit, MaxInFlight] and weighted
-	// per-QoS-class guarantees keep cheap query classes schedulable during
-	// shed episodes; see admission.go). The zero value means static for a
-	// Server built through this library; the tarad daemon's -admission flag
-	// defaults to adaptive.
-	AdmissionMode string
-	// MinLimit is the adaptive controller's lower bound (and cold-start
-	// limit). Zero selects 2; ignored in static mode.
+	// MinLimit is the controller's lower bound (and cold-start limit). Zero
+	// selects 2, the smallest limit at which every QoS class can be admitted;
+	// a value above MaxInFlight clamps to it.
 	MinLimit int
-	// AdmissionWindow is the adaptive controller's decision cadence — how
-	// often the AIMD loop inspects the windowed latency and moves the limit.
-	// Zero selects the 200ms default; ignored in static mode.
+	// AdmissionWindow is the controller's decision cadence — how often the
+	// AIMD loop inspects the windowed latency and moves the limit. Zero
+	// selects the 200ms default.
 	AdmissionWindow time.Duration
 	// AdmissionTolerance is how far the windowed p99 may run above the
 	// controller's baseline before the window counts as a breach (a
 	// multiplicative factor). Zero selects the 2.0 default; any other value
-	// must be finite and at least 1. Ignored in static mode.
+	// must be finite and at least 1.
 	AdmissionTolerance float64
 	// QueueWait bounds how long a request may wait for an in-flight slot
 	// before being shed with 429. Zero (the default) sheds the moment no
@@ -172,11 +168,9 @@ type Server struct {
 	fw        *tara.Framework
 	log       *slog.Logger
 	timeout   time.Duration
-	limiter   chan struct{} // static mode: nil = unlimited; buffered to MaxInFlight
-	queueWait time.Duration // max wait for a limiter slot; 0 = shed immediately
-	// adm and ctrl are the adaptive admission layer (nil in static mode):
-	// a dynamic-limit semaphore with per-QoS-class guarantees, and the AIMD
-	// controller that owns its limit.
+	queueWait time.Duration // max wait for an in-flight slot; 0 = shed immediately
+	// adm and ctrl are the admission layer: a dynamic-limit semaphore with
+	// per-QoS-class guarantees, and the AIMD controller that owns its limit.
 	adm     *qosSem
 	ctrl    *aimdController
 	mux     *http.ServeMux
@@ -194,7 +188,7 @@ type Server struct {
 	encodes atomic.Uint64
 
 	// delay, when set (tests only), runs inside each query handler after
-	// the limiter slot is taken and before the query executes.
+	// the in-flight slot is taken and before the query executes.
 	delay func(endpoint string)
 	// encodeHook, when set (tests only), runs inside the singleflight
 	// leader before it re-checks the cache and encodes.
@@ -241,6 +235,45 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics.trajStats = s.fw.TrajStats
 	s.metrics.kbLoadMillis = cfg.KBLoadMillis
+	// Below one slot per QoS class some class can never be admitted (see
+	// canAdmit), and the controller, which learns only from admitted
+	// requests, would never raise the limit.
+	for _, l := range []struct {
+		field string
+		v     int
+	}{{"MaxInFlight", cfg.MaxInFlight}, {"MinLimit", cfg.MinLimit}} {
+		if l.v < 0 || (l.v > 0 && l.v < numQoSClasses) {
+			return nil, fmt.Errorf("server: %s %d must be at least %d, one slot per QoS class (0 selects the default)", l.field, l.v, numQoSClasses)
+		}
+	}
+	maxInFlight := cfg.MaxInFlight
+	if maxInFlight == 0 {
+		maxInFlight = 256
+	}
+	minLimit := cfg.MinLimit
+	if minLimit == 0 {
+		minLimit = numQoSClasses
+	}
+	if minLimit > maxInFlight {
+		minLimit = maxInFlight
+	}
+	acfg := defaultAIMDConfig(minLimit, maxInFlight)
+	if cfg.AdmissionWindow > 0 {
+		acfg.Window = cfg.AdmissionWindow
+	}
+	// Below 1 every mature window breaches (the baseline snaps down to
+	// p99); NaN or +Inf never breaches.
+	if tol := cfg.AdmissionTolerance; tol != 0 {
+		if !(tol >= 1) || math.IsInf(tol, 1) {
+			return nil, fmt.Errorf("server: AdmissionTolerance %v must be a finite factor >= 1 (0 selects the default)", tol)
+		}
+		acfg.Tolerance = tol
+	}
+	s.adm = newQoSSem(minLimit)
+	s.ctrl = newAIMDController(acfg, s.adm, nil)
+	s.metrics.admission = s.ctrl.snapshot
+	// Registered only once New can no longer fail, so a rejected Config
+	// leaves no hook on the framework.
 	if cfg.ByteCacheSize >= 0 {
 		s.bcache = newByteCache(cfg.ByteCacheSize)
 		// Invalidate encoded bytes for a window the moment it commits, the
@@ -248,45 +281,6 @@ func New(cfg Config) (*Server, error) {
 		s.fw.OnAppend(s.bcache.invalidateWindow)
 		s.metrics.byteStats = s.bcache.stats
 	}
-	maxInFlight := cfg.MaxInFlight
-	if maxInFlight == 0 {
-		maxInFlight = 256
-	}
-	switch cfg.AdmissionMode {
-	case "", "static":
-		if maxInFlight > 0 {
-			s.limiter = make(chan struct{}, maxInFlight)
-		}
-		// maxInFlight < 0: unlimited, no limiter at all.
-	case "adaptive":
-		if maxInFlight < 0 {
-			return nil, fmt.Errorf("server: adaptive admission needs a finite MaxInFlight (got %d)", cfg.MaxInFlight)
-		}
-		minLimit := cfg.MinLimit
-		if minLimit <= 0 {
-			minLimit = 2
-		}
-		if minLimit > maxInFlight {
-			minLimit = maxInFlight
-		}
-		acfg := defaultAIMDConfig(minLimit, maxInFlight)
-		if cfg.AdmissionWindow > 0 {
-			acfg.Window = cfg.AdmissionWindow
-		}
-		// Below 1 every mature window breaches (the baseline snaps down to
-		// p99); NaN or +Inf never breaches.
-		if tol := cfg.AdmissionTolerance; tol != 0 {
-			if !(tol >= 1) || math.IsInf(tol, 1) {
-				return nil, fmt.Errorf("server: AdmissionTolerance %v must be a finite factor >= 1 (0 selects the default)", tol)
-			}
-			acfg.Tolerance = tol
-		}
-		s.adm = newQoSSem(minLimit)
-		s.ctrl = newAIMDController(acfg, s.adm, nil)
-	default:
-		return nil, fmt.Errorf("server: unknown AdmissionMode %q (want static or adaptive)", cfg.AdmissionMode)
-	}
-	s.metrics.admission = s.admissionSnapshot
 
 	// One route per served class of the query package's class table: the
 	// endpoint is named after the route, decodes as the class's operation
@@ -353,7 +347,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // instrument wraps a query route with tracing, request counting, latency
-// observation and structured logging. The limiter and timeout live inside so
+// observation and structured logging. Admission and timeout live inside so
 // that shed (429) and timed-out (503) requests are counted and timed like any
 // other. Every request gets a trace: its ID comes from an inbound
 // X-Request-ID header when present (so traces correlate across services) and
@@ -458,30 +452,19 @@ func (s *Server) answer(name, op string, qc int, st *endpointStats, w http.Respo
 		return
 	}
 	tr := obs.FromContext(r.Context())
-	switch {
-	case s.adm != nil:
-		if !s.adm.acquire(r.Context(), qc, s.queueWait) {
-			s.metrics.shed.Add(1)
-			st.shed.Add(1)
-			st.countWrite(writeError(w, http.StatusTooManyRequests, "server at capacity, retry later"))
-			return
-		}
-		admitted := time.Now()
-		defer func() {
-			// Feed the controller before freeing the slot, so the observed
-			// occupancy includes this request.
-			s.ctrl.observe(time.Since(admitted))
-			s.adm.release(qc)
-		}()
-	case s.limiter != nil:
-		if !s.admit(r) {
-			s.metrics.shed.Add(1)
-			st.shed.Add(1)
-			st.countWrite(writeError(w, http.StatusTooManyRequests, "server at capacity, retry later"))
-			return
-		}
-		defer func() { <-s.limiter }()
+	if !s.adm.acquire(r.Context(), qc, s.queueWait) {
+		s.metrics.shed.Add(1)
+		st.shed.Add(1)
+		st.countWrite(writeError(w, http.StatusTooManyRequests, "server at capacity, retry later"))
+		return
 	}
+	admitted := time.Now()
+	defer func() {
+		// Feed the controller before freeing the slot, so the observed
+		// occupancy includes this request.
+		s.ctrl.observe(time.Since(admitted))
+		s.adm.release(qc)
+	}()
 	// Queue wait: elapsed time from request arrival (trace creation in the
 	// instrument middleware) to here — admission queueing plus router and
 	// timeout-wrapper overhead. Shed requests never observe it.
@@ -526,52 +509,6 @@ func (s *Server) answer(name, op string, qc int, st *endpointStats, w http.Respo
 	sp = tr.Start(obs.StageEncode)
 	st.countWrite(writeResult(w, res))
 	sp.End()
-}
-
-// Admission returns the admission layer's current view: mode, limit in
-// force, occupancy, and (in adaptive mode) the controller's baseline and
-// per-QoS-class counters. The load harness samples this to record the limit
-// trajectory.
-func (s *Server) Admission() AdmissionSnapshot { return s.admissionSnapshot() }
-
-func (s *Server) admissionSnapshot() AdmissionSnapshot {
-	if s.ctrl != nil {
-		return s.ctrl.snapshot()
-	}
-	if s.limiter != nil {
-		return AdmissionSnapshot{
-			Mode:     "static",
-			Limit:    cap(s.limiter),
-			InFlight: len(s.limiter),
-		}
-	}
-	return AdmissionSnapshot{Mode: "unlimited", Limit: -1}
-}
-
-// admit takes an in-flight limiter slot, waiting up to queueWait for one to
-// free. It reports false when the request must be shed. The caller releases
-// the slot. Only called with a non-nil limiter.
-func (s *Server) admit(r *http.Request) bool {
-	select {
-	case s.limiter <- struct{}{}:
-		return true
-	default:
-	}
-	if s.queueWait <= 0 {
-		return false
-	}
-	t := time.NewTimer(s.queueWait)
-	defer t.Stop()
-	select {
-	case s.limiter <- struct{}{}:
-		return true
-	case <-t.C:
-		return false
-	case <-r.Context().Done():
-		// The client gave up (or the timeout wrapper fired) while queued;
-		// shedding is the honest answer — the work never started.
-		return false
-	}
 }
 
 // answerCached serves a byte-cacheable query. A warm hit (probed here for

@@ -78,6 +78,11 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
+// fixedCap is a MinLimit that pins the admission limit at the default
+// MaxInFlight, for tests whose concurrent clients must all be admitted: the
+// controller's cold-start limit is 2.
+const fixedCap = 256
+
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Framework == nil {
@@ -124,7 +129,7 @@ func get(t *testing.T, base, path string) (int, []byte) {
 // daemon's data-race check.
 func TestEndpointsServeConcurrently(t *testing.T) {
 	fw := testFramework(t)
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{MinLimit: fixedCap})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -16,14 +16,14 @@ import (
 	"tara/internal/obs"
 )
 
-// TestShedOrderingConsistency drives a MaxInFlight=1 server with enough
+// TestShedOrderingConsistency drives a MaxInFlight=2 server with enough
 // concurrency that most requests are shed, while a reader loops over
 // snapshots. The lock-free counters promise that every snapshot — taken at
 // any instant, under -race — satisfies shed+timeouts+errors <= requests and
 // latency.count <= requests, because requests is bumped on handler entry and
 // outcome counters are loaded before requests.
 func TestShedOrderingConsistency(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 1, ByteCacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 2, ByteCacheSize: -1})
 	s.delay = func(string) { time.Sleep(200 * time.Microsecond) }
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -77,7 +77,7 @@ func TestShedOrderingConsistency(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if !sawShed {
-		t.Error("expected at least one shed request with MaxInFlight=1 and 8 clients")
+		t.Error("expected at least one shed request with MaxInFlight=2 and 8 clients")
 	}
 	// The gauge drops in a deferred call that runs after the response is on
 	// the wire, so the last client can return before its handler does.
@@ -125,90 +125,85 @@ func TestInFlightGauge(t *testing.T) {
 	}
 }
 
-// TestQueueWaitAdmission pins the single in-flight slot and checks the two
-// admission policies: with a queue-wait budget the second request waits for
-// the slot and succeeds; with none it is shed the moment the probe fails.
+// TestQueueWaitAdmission pins both in-flight slots and checks the two
+// admission policies: with a queue-wait budget the next request waits for a
+// slot and succeeds; with none it is shed the moment the probe fails.
 func TestQueueWaitAdmission(t *testing.T) {
-	t.Run("bounded wait admits", func(t *testing.T) {
-		s := newTestServer(t, Config{MaxInFlight: 1, QueueWait: 5 * time.Second, ByteCacheSize: -1})
-		entered := make(chan struct{}, 1)
-		release := make(chan struct{})
-		var first atomic.Bool
+	const slots = 2
+	// holdSlots starts a server at MaxInFlight 2 whose first two requests
+	// park inside the handler until release is closed; it returns once both
+	// hold their slot, with a channel that yields their statuses.
+	holdSlots := func(t *testing.T, queueWait time.Duration) (s *Server, url string, release chan struct{}, done chan int) {
+		s = newTestServer(t, Config{MaxInFlight: slots, QueueWait: queueWait, ByteCacheSize: -1})
+		entered := make(chan struct{}, slots)
+		release = make(chan struct{})
+		var held atomic.Int32
 		s.delay = func(string) {
-			if first.CompareAndSwap(false, true) {
+			if held.Add(1) <= slots {
 				entered <- struct{}{}
 				<-release
 			}
 		}
 		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
+		t.Cleanup(ts.Close)
+		done = make(chan int, slots)
+		for i := 0; i < slots; i++ {
+			go func() {
+				st, _ := get(t, ts.URL, "/mine?w=0&supp=0.02&conf=0.2")
+				done <- st
+			}()
+		}
+		for i := 0; i < slots; i++ {
+			<-entered
+		}
+		return s, ts.URL, release, done
+	}
+	checkHolders := func(t *testing.T, done chan int) {
+		for i := 0; i < slots; i++ {
+			if st := <-done; st != http.StatusOK {
+				t.Errorf("holder status = %d, want 200", st)
+			}
+		}
+	}
 
-		done := make(chan int, 1)
+	t.Run("bounded wait admits", func(t *testing.T) {
+		s, url, release, done := holdSlots(t, 5*time.Second)
+		queued := make(chan int, 1)
 		go func() {
-			st, _ := get(t, ts.URL, "/mine?w=0&supp=0.02&conf=0.2")
-			done <- st
+			st, _ := get(t, url, "/mine?w=1&supp=0.02&conf=0.2")
+			queued <- st
 		}()
-		<-entered // holder owns the slot
-
-		second := make(chan int, 1)
-		go func() {
-			st, _ := get(t, ts.URL, "/mine?w=1&supp=0.02&conf=0.2")
-			second <- st
-		}()
-		// Give the second request time to reach the queue, then free the slot.
+		// Give the queued request time to reach the queue, then free the slots.
 		time.Sleep(50 * time.Millisecond)
 		close(release)
 
-		if st := <-done; st != http.StatusOK {
-			t.Errorf("holder status = %d, want 200", st)
-		}
-		if st := <-second; st != http.StatusOK {
+		checkHolders(t, done)
+		if st := <-queued; st != http.StatusOK {
 			t.Errorf("queued request status = %d, want 200 (admitted after wait)", st)
 		}
 		ep := s.metrics.snapshot().Endpoints["mine"]
 		if ep.Shed != 0 {
 			t.Errorf("shed = %d, want 0 with a 5s queue-wait budget", ep.Shed)
 		}
-		if ep.QueueWait.Count != 2 {
-			t.Errorf("queueWait.count = %d, want 2 (both requests admitted)", ep.QueueWait.Count)
+		if ep.QueueWait.Count != slots+1 {
+			t.Errorf("queueWait.count = %d, want %d (every request admitted)", ep.QueueWait.Count, slots+1)
 		}
 	})
 
 	t.Run("zero wait sheds", func(t *testing.T) {
-		s := newTestServer(t, Config{MaxInFlight: 1, QueueWait: 0, ByteCacheSize: -1})
-		entered := make(chan struct{}, 1)
-		release := make(chan struct{})
-		var first atomic.Bool
-		s.delay = func(string) {
-			if first.CompareAndSwap(false, true) {
-				entered <- struct{}{}
-				<-release
-			}
-		}
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-
-		done := make(chan int, 1)
-		go func() {
-			st, _ := get(t, ts.URL, "/mine?w=0&supp=0.02&conf=0.2")
-			done <- st
-		}()
-		<-entered
-
-		st, body := get(t, ts.URL, "/mine?w=1&supp=0.02&conf=0.2")
+		s, url, release, done := holdSlots(t, 0)
+		st, body := get(t, url, "/mine?w=1&supp=0.02&conf=0.2")
 		if st != http.StatusTooManyRequests {
-			t.Errorf("second request status = %d, want 429: %s", st, body)
+			t.Errorf("request past the limit: status = %d, want 429: %s", st, body)
 		}
 		close(release)
-		if st := <-done; st != http.StatusOK {
-			t.Errorf("holder status = %d, want 200", st)
-		}
+		checkHolders(t, done)
 		ep := s.metrics.snapshot().Endpoints["mine"]
 		if ep.Shed != 1 {
 			t.Errorf("shed = %d, want 1", ep.Shed)
 		}
-		if ep.QueueWait.Count != 1 {
-			t.Errorf("queueWait.count = %d, want 1 (shed requests never observe it)", ep.QueueWait.Count)
+		if ep.QueueWait.Count != slots {
+			t.Errorf("queueWait.count = %d, want %d (shed requests never observe it)", ep.QueueWait.Count, slots)
 		}
 	})
 }
