@@ -97,10 +97,10 @@ func BenchmarkAblationMinerChoice(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNDIndex compares the three-measure (support, confidence,
-// lift) request answered by the n-dimensional parameter-space slice against
-// the 2D quadrant walk with a lift post-filter.
-func BenchmarkAblationNDIndex(b *testing.B) {
+// BenchmarkAblationLiftPostFilter measures the three-measure (support,
+// confidence, lift) request as /mine lift= answers it: the 2-D quadrant walk
+// with a lift post-filter.
+func BenchmarkAblationLiftPostFilter(b *testing.B) {
 	sys := systemsFor(b, "retail")
 	last := len(sys.Windows) - 1
 	spec := sys.Spec
@@ -111,19 +111,7 @@ func BenchmarkAblationNDIndex(b *testing.B) {
 		{"selective", 4 * spec.GenSupp, 0.6, 2},
 		{"broad", spec.GenSupp, spec.GenConf, 1},
 	} {
-		b.Run(q.name+"/nd-slice", func(b *testing.B) {
-			// Warm the lazy cache outside the measurement.
-			if _, err := sys.TARA.MineND(last, q.supp, q.conf, q.lift); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.TARA.MineND(last, q.supp, q.conf, q.lift); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(q.name+"/2d-postfilter", func(b *testing.B) {
+		b.Run(q.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.TARA.MineFiltered(last, q.supp, q.conf, q.lift); err != nil {
 					b.Fatal(err)

@@ -160,7 +160,7 @@ func TestCLITaraServeUsage(t *testing.T) {
 		t.Errorf("serve -h exited 0; want the help-requested error path:\n%s", out)
 	}
 	text := string(out)
-	for _, flagName := range []string{"-addr", "-minlimit", "-maxinflight", "-queuewait", "-kb", "-mmap", "-admissionwindow", "-admissiontolerance"} {
+	for _, flagName := range []string{"-addr", "-minlimit", "-maxinflight", "-queuewait", "-kb", "-mmap"} {
 		if !strings.Contains(text, "\n  "+flagName+" ") && !strings.Contains(text, "\n  "+flagName+"\n") {
 			t.Errorf("serve -h output missing %s:\n%s", flagName, text)
 		}

@@ -139,10 +139,6 @@ type Postings struct {
 // Len returns the number of rule ids the postings decode to.
 func (p Postings) Len() int { return p.n }
 
-// Segments returns the number of byte sub-slices backing the postings (one
-// per contributing support row).
-func (p Postings) Segments() int { return len(p.segs) }
-
 // AppendTo decodes the postings into dst, growing it at most once. The id
 // order matches Slice.Rules: rows by ascending support, locations by
 // ascending confidence within a row, ids ascending within a location.

@@ -61,40 +61,6 @@ func (h *Hist) Count() uint64 { return h.count.Load() }
 // SumMicros returns the sum of observed microseconds.
 func (h *Hist) SumMicros() uint64 { return h.sumUS.Load() }
 
-// MeanMicros returns the mean observed latency, 0 when empty.
-func (h *Hist) MeanMicros() float64 {
-	c := h.count.Load()
-	if c == 0 {
-		return 0
-	}
-	return float64(h.sumUS.Load()) / float64(c)
-}
-
-// Quantile returns an inclusive upper bound (in microseconds) on the
-// q-quantile of the observed latencies, at power-of-two resolution: the
-// bound of the first bucket whose cumulative count reaches ⌈q·total⌉.
-// Returns 0 when the histogram is empty.
-func (h *Hist) Quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return BucketBound(i)
-		}
-	}
-	// Concurrent increments can make count lead the bucket loads; the last
-	// bucket's bound stays a valid upper bound.
-	return BucketBound(NumBuckets - 1)
-}
-
 // HistSnapshot is a point-in-time copy of a Hist, used by the Prometheus
 // renderer. Loaded count-first, so sum(Buckets) >= Count always holds.
 type HistSnapshot struct {
@@ -112,4 +78,27 @@ func (h *Hist) Snapshot() HistSnapshot {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	return s
+}
+
+// Quantile returns an inclusive upper bound (in microseconds) on the
+// q-quantile of the snapshot's observations, at power-of-two resolution: the
+// bound of the first bucket whose cumulative count reaches ⌈q·Count⌉.
+// Returns 0 when the snapshot is empty. Quantiles taken from one snapshot
+// are monotone in q even while the histogram is being observed into.
+func (s HistSnapshot) Quantile(q float64) uint64 {
+	if s.Count == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(q * float64(s.Count)))
+	if target == 0 {
+		target = 1
+	}
+	var cum uint64
+	for i, n := range s.Buckets {
+		cum += n
+		if cum >= target {
+			return BucketBound(i)
+		}
+	}
+	return BucketBound(NumBuckets - 1)
 }

@@ -81,7 +81,7 @@ func TestQuantileUpperBounds(t *testing.T) {
 			for _, us := range c.obs {
 				h.ObserveMicros(us)
 			}
-			got := h.Quantile(c.q)
+			got := h.Snapshot().Quantile(c.q)
 			if got != c.want {
 				t.Errorf("Quantile(%g) = %d, want %d (%s)", c.q, got, c.want, c.comment)
 			}
@@ -102,7 +102,7 @@ func TestQuantileMonotone(t *testing.T) {
 	qs := []float64{0.1, 0.5, 0.9, 0.95, 0.99, 1.0}
 	prev := uint64(0)
 	for _, q := range qs {
-		v := h.Quantile(q)
+		v := h.Snapshot().Quantile(q)
 		if v < prev {
 			t.Errorf("Quantile(%g) = %d < previous %d", q, v, prev)
 		}

@@ -39,9 +39,6 @@ func NewSlowRing(n int) *SlowRing {
 	return &SlowRing{slots: make([]atomic.Pointer[SlowTrace], n)}
 }
 
-// Cap returns the ring's capacity.
-func (r *SlowRing) Cap() int { return len(r.slots) }
-
 // Offer considers t for retention. Nil traces are ignored.
 func (r *SlowRing) Offer(t *SlowTrace) {
 	if t == nil {

@@ -24,15 +24,15 @@ type Rule struct {
 	Cons itemset.Set
 }
 
-// MaxAntecedentLen bounds the antecedent length a rule key can encode.
-const MaxAntecedentLen = 255
+// maxAntecedentLen bounds the antecedent length a rule key can encode.
+const maxAntecedentLen = 255
 
 // Key returns a canonical string key for the rule: one byte of antecedent
 // length followed by the two itemset keys. Distinct rules produce distinct
-// keys. It panics if the antecedent exceeds MaxAntecedentLen items, which is
+// keys. It panics if the antecedent exceeds maxAntecedentLen items, which is
 // far beyond any mining configuration in this repository.
 func (r Rule) Key() string {
-	if len(r.Ant) > MaxAntecedentLen {
+	if len(r.Ant) > maxAntecedentLen {
 		panic(fmt.Sprintf("rules: antecedent of %d items exceeds key limit", len(r.Ant)))
 	}
 	var b strings.Builder

@@ -435,9 +435,9 @@ func TestSmallestLimitAdmitsEveryClass(t *testing.T) {
 	}
 }
 
-// TestAdmissionConfigOverrides checks the -admissionwindow and
-// -admissiontolerance plumbing: Config values reach the AIMD controller,
-// and zero values keep the defaults.
+// TestAdmissionConfigOverrides checks the AdmissionWindow and
+// AdmissionTolerance plumbing: Config values reach the AIMD controller, and
+// zero values keep the defaults.
 func TestAdmissionConfigOverrides(t *testing.T) {
 	fw := testFramework(t)
 	s, err := New(Config{
@@ -557,7 +557,9 @@ func TestAdaptiveShedOrderingConsistency(t *testing.T) {
 
 // TestDaemonUsageListsAdmissionFlags runs the shared tarad/`tara serve` flag
 // set's usage output (daemon.go is the single flag source for both binaries)
-// and checks every admission-related flag is present and documented.
+// and checks every admission-related flag is present and documented. The
+// controller's cadence and tolerance are library-only Config fields, not
+// flags.
 func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 	var buf strings.Builder
 	err := Run([]string{"-h"}, &buf)
@@ -567,7 +569,6 @@ func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 	usage := buf.String()
 	for _, flagName := range []string{
 		"-addr", "-maxinflight", "-queuewait", "-minlimit",
-		"-admissionwindow", "-admissiontolerance",
 		"-timeout", "-bytecache", "-gzip", "-slowtraces", "-mmap",
 	} {
 		if !strings.Contains(usage, fmt.Sprintf("\n  %s ", flagName)) &&
@@ -575,9 +576,14 @@ func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 			t.Errorf("usage output missing %s:\n%s", flagName, usage)
 		}
 	}
-	for _, def := range []string{"(default 256)", "(default 2)", "(default 200ms)"} {
+	for _, def := range []string{"(default 256)", "(default 2)"} {
 		if !strings.Contains(usage, def) {
 			t.Errorf("usage output missing default %q", def)
+		}
+	}
+	for _, gone := range []string{"-admissionwindow", "-admissiontolerance"} {
+		if strings.Contains(usage, gone) {
+			t.Errorf("usage output still lists %s:\n%s", gone, usage)
 		}
 	}
 }

@@ -1,15 +1,14 @@
 package server
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"tara/internal/lru"
 	"tara/internal/query"
 	"tara/internal/traj"
 )
@@ -27,7 +26,7 @@ import (
 // plus the canonical key — so two equal ETags imply byte-identical bodies.
 // Conditional requests (If-None-Match) short-circuit to 304 without touching
 // the body. Entries are invalidated per window through Framework.OnAppend,
-// mirroring the query cache's invalidation; windows are append-only, so this
+// like the query cache's invalidation; windows are append-only, so this
 // is defensive, but it keeps "a cached body always equals a fresh encode"
 // locally checkable.
 //
@@ -74,9 +73,9 @@ const (
 	encGzip
 )
 
-// byteCacheKey identifies one encoded response. cut packs the canonical
-// cut-grid indexes (cutKey layout: support index high 32 bits, confidence
-// low 32) — or, for the trajectory classes, the raw [from, to] window range;
+// byteCacheKey identifies one encoded response. cut is the canonical cut
+// (Framework.CanonicalCut) — or, for the trajectory classes, the range's
+// first window (window holds its last);
 // lift carries math.Float64bits of the mine lift filter (trajectory: the
 // minSupp threshold bits) so distinct filters never share bytes; page packs
 // the limit/offset pagination (pageKey layout) so each page caches
@@ -102,10 +101,8 @@ func pageKey(limit, offset int) uint64 {
 	return uint64(uint32(offset))<<32 | uint64(uint32(limit))
 }
 
-// DefaultByteCacheSize bounds the cache when Config.ByteCacheSize is zero.
-const DefaultByteCacheSize = 2048
-
-const byteCacheShards = 16
+// defaultByteCacheSize bounds the cache when Config.ByteCacheSize is zero.
+const defaultByteCacheSize = 2048
 
 type byteCacheEntry struct {
 	key  byteCacheKey
@@ -113,27 +110,17 @@ type byteCacheEntry struct {
 	body []byte // immutable after store; includes the trailing newline
 }
 
-type byteCacheShard struct {
-	mu    sync.Mutex
-	lru   *list.List // front = most recent; values are *byteCacheEntry
-	byKey map[byteCacheKey]*list.Element
-}
-
-// byteCache is the sharded LRU over encoded responses. All counters are
-// atomics; the write/read ordering discipline matters for snapshots — see
-// the comments on get and stats.
+// byteCache is the generic sharded LRU over encoded responses plus the
+// server-side counters. The write/read ordering discipline matters for
+// snapshots — see the comments on get and stats.
 type byteCache struct {
-	shards      [byteCacheShards]byteCacheShard
-	capPerShard int
+	lru *lru.Cache[byteCacheKey, *byteCacheEntry]
 
-	// requests counts probes of cacheable requests; the handler bumps it
-	// (inside get) BEFORE the hit/miss outcome is counted, so a snapshot
-	// that reads outcomes first can never observe hits+misses > requests.
+	// requests counts probes of cacheable requests; get bumps it BEFORE the
+	// LRU counts the hit/miss outcome, so a snapshot that reads outcomes
+	// first can never observe hits+misses > requests.
 	requests      atomic.Uint64
-	hits          atomic.Uint64
-	misses        atomic.Uint64
 	notModified   atomic.Uint64
-	evictions     atomic.Uint64
 	invalidations atomic.Uint64
 	// coalesced counts requests that joined another request's in-progress
 	// encode through the singleflight layer instead of encoding themselves.
@@ -142,127 +129,44 @@ type byteCache struct {
 
 func newByteCache(size int) *byteCache {
 	if size <= 0 {
-		size = DefaultByteCacheSize
+		size = defaultByteCacheSize
 	}
-	per := (size + byteCacheShards - 1) / byteCacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &byteCache{capPerShard: per}
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].byKey = make(map[byteCacheKey]*list.Element)
-	}
-	return c
+	return &byteCache{lru: lru.New[byteCacheKey, *byteCacheEntry](size, hashByteCacheKey, func(k byteCacheKey) int { return int(k.window) })}
 }
 
-func (c *byteCache) shardFor(k byteCacheKey) *byteCacheShard {
+// hashByteCacheKey mixes the key fields so consecutive windows and cuts
+// spread across shards.
+func hashByteCacheKey(k byteCacheKey) uint64 {
 	h := uint64(k.window)*0x9E3779B97F4A7C15 + uint64(k.class)*0xBF58476D1CE4E5B9
 	h ^= k.cut * 0x94D049BB133111EB
 	h ^= k.lift*0xD6E8FEB86659FD93 + (h >> 29)
 	h ^= k.page*0xC2B2AE3D27D4EB4F + uint64(k.enc)*0xFF51AFD7ED558CCD
-	h ^= k.x*0xA24BAED4963EE407 + k.x2*0x9FB21C651E98DF25 + uint64(len(k.ref))*0x8EBC6AF09C88C6E3
-	return &c.shards[h%byteCacheShards]
+	return h ^ (k.x*0xA24BAED4963EE407 + k.x2*0x9FB21C651E98DF25 + uint64(len(k.ref))*0x8EBC6AF09C88C6E3)
 }
 
 // get probes for k's encoded response, promoting a hit to most-recent. The
 // request is counted before its outcome so hits <= requests holds under any
 // snapshot interleaving (the same discipline as the middleware's
-// requests-before-latency ordering).
+// requests-before-latency ordering). Re-checks whose original probe was
+// already counted use lru.Peek instead.
 func (c *byteCache) get(k byteCacheKey) (*byteCacheEntry, bool) {
 	c.requests.Add(1)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	el, ok := sh.byKey[k]
-	if ok {
-		sh.lru.MoveToFront(el)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return el.Value.(*byteCacheEntry), true
+	return c.lru.Get(k)
 }
 
-// peek is get without the request/outcome accounting: a non-counting lookup
-// for re-checks whose original probe was already counted (the singleflight
-// leader's double-check, gzip-variant derivation). A hit still refreshes
-// recency.
-func (c *byteCache) peek(k byteCacheKey) (*byteCacheEntry, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	el, ok := sh.byKey[k]
-	if ok {
-		sh.lru.MoveToFront(el)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*byteCacheEntry), true
-}
-
-// put stores an encoded response, evicting the shard's least-recent entry
-// when full. The entry's body must never be mutated after this call.
+// put stores an encoded response; its body must never be mutated after this
+// call. Same key means same bytes (the key is a lossless function of the
+// body), so a resident entry is kept and only its recency refreshed.
 func (c *byteCache) put(e *byteCacheEntry) {
-	sh := c.shardFor(e.key)
-	sh.mu.Lock()
-	if el, ok := sh.byKey[e.key]; ok {
-		// Same key means same bytes (the key is a lossless function of the
-		// body); keep the resident entry and just refresh recency.
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
-		return
-	}
-	evicted := false
-	if sh.lru.Len() >= c.capPerShard {
-		back := sh.lru.Back()
-		delete(sh.byKey, back.Value.(*byteCacheEntry).key)
-		sh.lru.Remove(back)
-		evicted = true
-	}
-	sh.byKey[e.key] = sh.lru.PushFront(e)
-	sh.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
+	if _, ok := c.lru.Peek(e.key); !ok {
+		c.lru.Put(e.key, e)
 	}
 }
 
 // invalidateWindow drops every encoded response cached for window w; other
 // windows' entries are untouched. Registered with Framework.OnAppend.
 func (c *byteCache) invalidateWindow(w int) {
-	dropped := uint64(0)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*byteCacheEntry); e.key.window == int32(w) {
-				delete(sh.byKey, e.key)
-				sh.lru.Remove(el)
-				dropped++
-			}
-			el = next
-		}
-		sh.mu.Unlock()
-	}
-	if dropped > 0 {
-		c.invalidations.Add(dropped)
-	}
-}
-
-// entries counts resident encoded responses across shards.
-func (c *byteCache) entries() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.invalidations.Add(uint64(c.lru.InvalidateWindow(w)))
 }
 
 // ByteCacheStats is the /metrics view of the encoded-response cache.
@@ -294,18 +198,19 @@ func (c *byteCache) stats() ByteCacheStats {
 	if c == nil {
 		return ByteCacheStats{}
 	}
+	ls := c.lru.Stats()
 	s := ByteCacheStats{
 		Enabled:       true,
-		Capacity:      c.capPerShard * byteCacheShards,
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
+		Entries:       ls.Entries,
+		Capacity:      ls.Capacity,
+		Hits:          ls.Hits,
+		Misses:        ls.Misses,
 		NotModified:   c.notModified.Load(),
-		Evictions:     c.evictions.Load(),
+		Evictions:     ls.Evictions,
 		Invalidations: c.invalidations.Load(),
 		Coalesced:     c.coalesced.Load(),
 	}
 	s.Requests = c.requests.Load()
-	s.Entries = c.entries()
 	if s.Hits+s.Misses > 0 {
 		s.HitRatio = float64(s.Hits) / float64(s.Hits+s.Misses)
 	}
@@ -340,13 +245,13 @@ func (s *Server) byteCacheKeyFor(q query.Query) (byteCacheKey, query.Query, bool
 	default:
 		return byteCacheKey{}, q, false
 	}
-	si, ci, err := s.fw.CanonicalCut(q.Window, q.MinSupp, q.MinConf)
+	cut, err := s.fw.CanonicalCut(q.Window, q.MinSupp, q.MinConf)
 	if err != nil {
 		// Out-of-range window and friends: let the normal path produce the
 		// error response (errors are not cached).
 		return byteCacheKey{}, q, false
 	}
-	return byteCacheKey{class: class, window: int32(q.Window), cut: cutKey(si, ci), lift: lift, page: page}, q, true
+	return byteCacheKey{class: class, window: int32(q.Window), cut: cut, lift: lift, page: page}, q, true
 }
 
 // trajByteCacheKey keys a trajectory query. The key is a lossless function
@@ -364,7 +269,7 @@ func (s *Server) trajByteCacheKey(q query.Query) (byteCacheKey, query.Query, boo
 	}
 	k := byteCacheKey{
 		window: int32(q.To),
-		cut:    cutKey(q.From, q.To),
+		cut:    uint64(q.From),
 		lift:   math.Float64bits(q.MinSupp),
 		x:      math.Float64bits(q.MinConf),
 		page:   pageKey(q.Limit, q.Offset),
@@ -396,10 +301,6 @@ func (s *Server) trajByteCacheKey(q query.Query) (byteCacheKey, query.Query, boo
 	}
 	return k, q, true
 }
-
-// cutKey packs the canonical cut-grid index pair, mirroring the query
-// cache's layout in internal/tara.
-func cutKey(si, ci int) uint64 { return uint64(uint32(si))<<32 | uint64(uint32(ci)) }
 
 // etagFor derives the strong entity tag of a cacheable response: a quoted
 // FNV-64a hash over the knowledge-base generation and the canonical key.

@@ -313,15 +313,15 @@ func TestByteCacheInvalidationOnAppend(t *testing.T) {
 	// will use. The builds are deterministic, so the oracle's canonical cut
 	// for window 3 is the cut the serving framework will have after its own
 	// append.
-	si, ci, err := oracle.CanonicalCut(3, supp, conf)
+	cut, err := oracle.CanonicalCut(3, supp, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisonKey := byteCacheKey{class: byteCount, window: 3, cut: cutKey(si, ci)}
+	poisonKey := byteCacheKey{class: byteCount, window: 3, cut: cut}
 	poisonTag := `"feedfacefeedface"`
 	s.bcache.put(&byteCacheEntry{key: poisonKey, etag: poisonTag, body: []byte(`{"poisoned":true}` + "\n")})
 
-	entriesBefore := s.bcache.entries()
+	entriesBefore := s.bcache.stats().Entries
 	if entriesBefore != 4 {
 		t.Fatalf("expected 4 resident entries before append, have %d", entriesBefore)
 	}
@@ -433,22 +433,20 @@ func TestByteCacheStatsOrderingUnderLoad(t *testing.T) {
 // the LRU bound holds with evictions counted, and a same-key put keeps the
 // resident entry (the key is a lossless function of the body).
 func TestByteCacheLRUAndSameKeyPut(t *testing.T) {
-	c := newByteCache(byteCacheShards) // one entry per shard
-	for i := 0; i < 10*byteCacheShards; i++ {
+	c := newByteCache(1) // one entry per shard
+	capacity := c.stats().Capacity
+	for i := 0; i < 10*capacity; i++ {
 		c.put(&byteCacheEntry{
-			key:  byteCacheKey{class: byteMine, window: int32(i), cut: cutKey(i, i)},
+			key:  byteCacheKey{class: byteMine, window: int32(i), cut: uint64(i)},
 			etag: fmt.Sprintf("%q", fmt.Sprintf("%016x", i)),
 			body: []byte("{}\n"),
 		})
 	}
-	if n := c.entries(); n > byteCacheShards {
-		t.Fatalf("cache holds %d entries, cap %d", n, byteCacheShards)
-	}
-	if c.evictions.Load() == 0 {
-		t.Fatal("no evictions recorded")
+	if st := c.stats(); st.Entries > capacity || st.Evictions == 0 {
+		t.Fatalf("cache holds %d entries (cap %d) after %d evictions", st.Entries, capacity, st.Evictions)
 	}
 
-	k := byteCacheKey{class: byteCount, window: 7, cut: cutKey(1, 2)}
+	k := byteCacheKey{class: byteCount, window: 7, cut: 12}
 	first := &byteCacheEntry{key: k, etag: `"a"`, body: []byte(`1` + "\n")}
 	c.put(first)
 	c.put(&byteCacheEntry{key: k, etag: `"b"`, body: []byte(`2` + "\n")})

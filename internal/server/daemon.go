@@ -32,8 +32,6 @@ func Run(args []string, stderr io.Writer) error {
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		inflight = fs.Int("maxinflight", 256, "max concurrently executing queries: the upper bound of the AIMD latency-feedback admission limit (at least 2, one slot per QoS class)")
 		minLimit = fs.Int("minlimit", 2, "admission's lowest (and cold-start) in-flight limit (at least 2; equal to -maxinflight for a fixed cap)")
-		admWin   = fs.Duration("admissionwindow", 200*time.Millisecond, "admission controller's AIMD decision cadence")
-		admTol   = fs.Float64("admissiontolerance", 2.0, "admission controller's p99 breach tolerance over the baseline")
 		qwait    = fs.Duration("queuewait", 0, "max time a request may queue for an in-flight slot before 429 (0 = shed immediately)")
 		pprofOn  = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowN    = fs.Int("slowtraces", 32, "slowest request traces retained for /debug/slow")
@@ -84,20 +82,18 @@ func Run(args []string, stderr io.Writer) error {
 		gzMin = -1
 	}
 	s, err := New(Config{
-		Framework:          fw,
-		Logger:             log,
-		RequestTimeout:     *timeout,
-		MaxInFlight:        *inflight,
-		MinLimit:           *minLimit,
-		AdmissionWindow:    *admWin,
-		AdmissionTolerance: *admTol,
-		QueueWait:          *qwait,
-		EnablePprof:        *pprofOn,
-		SlowTraces:         *slowN,
-		ByteCacheSize:      *bcache,
-		GzipMinBytes:       gzMin,
-		KBLoadMode:         fw.LoadMode(),
-		KBLoadMillis:       kbLoadMillis,
+		Framework:      fw,
+		Logger:         log,
+		RequestTimeout: *timeout,
+		MaxInFlight:    *inflight,
+		MinLimit:       *minLimit,
+		QueueWait:      *qwait,
+		EnablePprof:    *pprofOn,
+		SlowTraces:     *slowN,
+		ByteCacheSize:  *bcache,
+		GzipMinBytes:   gzMin,
+		KBLoadMode:     fw.LoadMode(),
+		KBLoadMillis:   kbLoadMillis,
 	})
 	if err != nil {
 		return err
@@ -162,7 +158,7 @@ func KBFlags(fs *flag.FlagSet) func(log *slog.Logger) (*tara.Framework, error) {
 		genConf  = fs.Float64("conf", 0.1, "generation minimum confidence (Table 4)")
 		maxLen   = fs.Int("maxlen", 4, "maximum itemset length")
 		miner    = fs.String("miner", "eclat", "mining algorithm: apriori, eclat, fpgrowth, hmine")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "windows preprocessed concurrently during build (0 or 1 = serial; output is byte-identical either way)")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "workers per build pipeline pool (below 1 = one worker; output is byte-identical at any value)")
 	)
 	return func(log *slog.Logger) (*tara.Framework, error) {
 		if *kbFile != "" {

@@ -141,13 +141,17 @@ type LatencySnapshot struct {
 }
 
 func latencySnapshot(h *obs.Hist) LatencySnapshot {
-	return LatencySnapshot{
-		Count:      h.Count(),
-		MeanMicros: h.MeanMicros(),
-		P50Micros:  h.Quantile(0.50),
-		P95Micros:  h.Quantile(0.95),
-		P99Micros:  h.Quantile(0.99),
+	hs := h.Snapshot()
+	ls := LatencySnapshot{
+		Count:     hs.Count,
+		P50Micros: hs.Quantile(0.50),
+		P95Micros: hs.Quantile(0.95),
+		P99Micros: hs.Quantile(0.99),
 	}
+	if hs.Count > 0 {
+		ls.MeanMicros = float64(hs.SumMicros) / float64(hs.Count)
+	}
+	return ls
 }
 
 // EndpointSnapshot reports one endpoint's counters and latency quantiles.

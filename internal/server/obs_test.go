@@ -418,13 +418,14 @@ func TestPrometheusExposition(t *testing.T) {
 // TestMetricsConcurrentSnapshot hammers one endpoint from 8 goroutines while
 // reading snapshots in a loop: request counts must grow monotonically and
 // every histogram view must stay internally consistent. Run under -race this
-// is the lock-free metrics path's correctness check.
+// is the lock-free metrics path's correctness check. A fixed admission cap
+// keeps the cold-start limit from shedding the first concurrent misses.
 func TestMetricsConcurrentSnapshot(t *testing.T) {
-	s := newTestServer(t, Config{})
-	h := s.Handler()
-
 	const workers = 8
 	const perWorker = 50
+	s := newTestServer(t, Config{MaxInFlight: workers, MinLimit: workers})
+	h := s.Handler()
+
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	for w := 0; w < workers; w++ {

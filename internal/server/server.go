@@ -140,12 +140,12 @@ type Config struct {
 	SlowTraces int
 	// ByteCacheSize bounds the encoded-response byte cache (see
 	// bytecache.go): the number of pre-encoded JSON bodies kept for the
-	// cacheable query classes. Zero selects DefaultByteCacheSize; negative
+	// cacheable query classes. Zero selects 2048 entries; negative
 	// disables the cache (every response is encoded per request).
 	ByteCacheSize int
 	// GzipMinBytes sets the smallest cached body that gets a
 	// gzip-precompressed variant negotiated via Accept-Encoding. Zero
-	// selects DefaultGzipMinBytes; negative disables gzip variants
+	// selects 1024 bytes; negative disables gzip variants
 	// entirely (identity bodies only, no Vary header).
 	GzipMinBytes int
 	// KBLoadMode records how the knowledge base reached memory ("heap",
@@ -157,10 +157,10 @@ type Config struct {
 	KBLoadMillis int64
 }
 
-// DefaultGzipMinBytes is the gzip threshold when Config.GzipMinBytes is
+// defaultGzipMinBytes is the gzip threshold when Config.GzipMinBytes is
 // zero: bodies below 1KB rarely repay the compression and the extra cache
 // entry.
-const DefaultGzipMinBytes = 1024
+const defaultGzipMinBytes = 1024
 
 // Server answers TARA exploration queries over HTTP. Create with New; it is
 // safe for concurrent use by any number of connections.
@@ -222,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		gzipMin:   cfg.GzipMinBytes,
 	}
 	if s.gzipMin == 0 {
-		s.gzipMin = DefaultGzipMinBytes
+		s.gzipMin = defaultGzipMinBytes
 	}
 	s.metrics.cacheStats = s.fw.CacheStats
 	s.metrics.kbResidency = func() (int, bool) {
@@ -535,7 +535,7 @@ func (s *Server) answerCached(key byteCacheKey, st *endpointStats, w http.Respon
 		// A just-departed leader may have stored the entry between this
 		// request's miss and winning the flight: re-check without counting
 		// a second probe.
-		if e, ok := s.bcache.peek(key); ok {
+		if e, ok := s.bcache.lru.Peek(key); ok {
 			return e, "", 0
 		}
 		// The generation is read before the query executes: a window
@@ -617,11 +617,11 @@ func (s *Server) gzipVariant(ctx context.Context, e *byteCacheEntry) (*byteCache
 	gzKey := e.key
 	gzKey.enc = encGzip
 	want := gzipTag(e.etag)
-	if gz, ok := s.bcache.peek(gzKey); ok && gz.etag == want {
+	if gz, ok := s.bcache.lru.Peek(gzKey); ok && gz.etag == want {
 		return gz, true
 	}
 	gz, _, _, _, ok := s.flights.do(ctx, gzKey, func() (*byteCacheEntry, string, int) {
-		if gz, ok := s.bcache.peek(gzKey); ok && gz.etag == want {
+		if gz, ok := s.bcache.lru.Peek(gzKey); ok && gz.etag == want {
 			return gz, "", 0
 		}
 		var buf bytes.Buffer
@@ -636,7 +636,7 @@ func (s *Server) gzipVariant(ctx context.Context, e *byteCacheEntry) (*byteCache
 			return nil, err.Error(), 0
 		}
 		gz := &byteCacheEntry{key: gzKey, etag: want, body: buf.Bytes()}
-		if id, resident := s.bcache.peek(e.key); resident && id.etag == e.etag {
+		if id, resident := s.bcache.lru.Peek(e.key); resident && id.etag == e.etag {
 			s.bcache.put(gz)
 		}
 		return gz, "", 0

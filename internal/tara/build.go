@@ -1,6 +1,6 @@
 package tara
 
-// The pipelined parallel offline build.
+// The pipelined offline build — the only build path.
 //
 // The paper's bargain is "pay offline, answer online for free": Figure 9
 // shows preprocessing — per-window mining plus archive/EPS construction —
@@ -18,13 +18,13 @@ package tara
 //
 // Determinism argument: rules.Generate emits each window's rules in a sorted
 // canonical order, the sequencer interns those rules window-by-window in
-// index order (so the dictionary assigns the exact ids the serial build
-// would), and the committer appends archive records in the same (window,
-// rule) order the serial build uses. Everything the knowledge base persists
-// — dictionary order, archive bytes, window metadata — is therefore
-// byte-identical to the serial build; the EPS slices are pure functions of
-// (ids, stats) and come out identical too. TestParallelBuildByteIdentical
-// proves it by comparing whole serialized knowledge bases.
+// index order (so the dictionary assigns the ids a one-window-at-a-time build
+// would), and the committer appends archive records in (window, rule) order.
+// Everything the knowledge base persists — dictionary order, archive bytes,
+// window metadata — is therefore byte-identical at any parallelism; the EPS
+// slices are pure functions of (ids, stats) and come out identical too.
+// TestParallelBuildByteIdentical proves it by comparing whole serialized
+// knowledge bases against a window-by-window reference build.
 //
 // Cancellation: the first stage error (or a parent-context cancellation)
 // cancels the pipeline context; every stage selects on it, the committer
@@ -128,15 +128,18 @@ func (g *buildGroup) Wait() error {
 	return g.err
 }
 
-// appendWindowsPipeline runs the four-stage build over ws with
-// cfg.parallelism() workers in each parallel pool. See the package comment
-// at the top of this file for the design and determinism argument.
-func (f *Framework) appendWindowsPipeline(parent context.Context, ws []txdb.Window) error {
-	workers := f.cfg.parallelism()
-	n := len(ws)
-	if workers > n {
-		workers = n
+// AppendWindows preprocesses a batch of windows and extends the knowledge
+// base in window order, running the four-stage pipeline with
+// Config.Parallelism workers in each parallel pool. See the comment at the
+// top of this file for the design and determinism argument. A failed build
+// keeps the consistent committed prefix, and ctx cancellation aborts cleanly
+// with no goroutines left behind.
+func (f *Framework) AppendWindows(parent context.Context, ws []txdb.Window) error {
+	if err := parent.Err(); err != nil {
+		return err
 	}
+	n := len(ws)
+	workers := min(f.cfg.parallelism(), n)
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	g := &buildGroup{cancel: cancel}
@@ -192,8 +195,8 @@ func (f *Framework) appendWindowsPipeline(parent context.Context, ws []txdb.Wind
 	}
 
 	// Stage 2 — sequencer: interns rule ids strictly in window order, the
-	// step that pins dictionary ids (and hence every archive byte) to the
-	// serial build's assignment. Interning is cheap relative to mining, so
+	// step that pins dictionary ids (and hence every archive byte) to a
+	// window-by-window assignment. Interning is cheap relative to mining, so
 	// one ordered goroutine does not become the bottleneck.
 	epsCh := make(chan int, workers)
 	g.Go(func() error {
@@ -257,6 +260,9 @@ func (f *Framework) appendWindowsPipeline(parent context.Context, ws []txdb.Wind
 			if err := f.commitWindow(s.m, s.ids, s.slice); err != nil {
 				return err
 			}
+			// Release the window's rules as soon as they are committed, so a
+			// long build holds only the windows still in flight.
+			*s = minedSlot{}
 			committed++
 		}
 		return nil
@@ -270,7 +276,7 @@ func (f *Framework) appendWindowsPipeline(parent context.Context, ws []txdb.Wind
 		if err := parent.Err(); err != nil {
 			return err
 		}
-		return fmt.Errorf("tara: parallel build stopped after %d/%d windows", committed, n)
+		return fmt.Errorf("tara: build stopped after %d/%d windows", committed, n)
 	}
 	return nil
 }

@@ -14,51 +14,68 @@ import (
 	"tara/internal/txdb"
 )
 
-// buildAt builds the same seeded database at the given parallelism with the
-// content index on (the configuration whose serialized form covers every
-// order-sensitive structure: dictionary, archive, window metadata).
-func buildAt(t *testing.T, parallelism int) *Framework {
-	t.Helper()
-	db := testDB(31, 1600, 40)
-	cfg := Config{
+// buildCfg is the build configuration whose serialized form covers every
+// order-sensitive structure (dictionary, archive, window metadata): the
+// content index is on.
+func buildCfg(parallelism int) Config {
+	return Config{
 		GenMinSupport: 0.01,
 		GenMinConf:    0.05,
 		MaxItemsetLen: 4,
 		ContentIndex:  true,
 		Parallelism:   parallelism,
 	}
-	f, err := Build(db, 0, 8, cfg)
+}
+
+// referenceBuild is the pipeline's independent reference: each window is
+// mined and then appended as premined rules, strictly one after another.
+func referenceBuild(t *testing.T, db *txdb.DB) *Framework {
+	t.Helper()
+	ws, err := db.PartitionByCount(8)
 	if err != nil {
-		t.Fatalf("Build(parallelism=%d): %v", parallelism, err)
+		t.Fatal(err)
+	}
+	f := New(db.Dict, buildCfg(1))
+	for _, w := range ws {
+		m, err := f.mineWindow(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AppendRules(w, m.ruleSet); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return f
 }
 
 // TestParallelBuildByteIdentical is the differential proof behind the
 // pipeline's determinism contract: the serialized knowledge base of every
-// parallel build must equal the serial build's byte for byte, and each
-// window's EPS cut locations must be identical.
+// pipelined build must equal the window-by-window reference build's byte for
+// byte, and each window's EPS cut locations must be identical.
 func TestParallelBuildByteIdentical(t *testing.T) {
-	serial := buildAt(t, 1)
+	ref := referenceBuild(t, testDB(31, 1600, 40))
 	var want bytes.Buffer
-	if err := serial.SaveMapped(&want); err != nil {
+	if err := ref.SaveMapped(&want); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 8} {
-		f := buildAt(t, p)
+	for _, p := range []int{1, 2, 8} {
+		f, err := Build(testDB(31, 1600, 40), 0, 8, buildCfg(p))
+		if err != nil {
+			t.Fatalf("Build(parallelism=%d): %v", p, err)
+		}
 		var got bytes.Buffer
 		if err := f.SaveMapped(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("parallelism %d: serialized KB differs from serial (%d vs %d bytes)",
+			t.Errorf("parallelism %d: serialized KB differs from reference (%d vs %d bytes)",
 				p, got.Len(), want.Len())
 		}
-		if f.Windows() != serial.Windows() {
-			t.Fatalf("parallelism %d: %d windows, serial built %d", p, f.Windows(), serial.Windows())
+		if f.Windows() != ref.Windows() {
+			t.Fatalf("parallelism %d: %d windows, reference built %d", p, f.Windows(), ref.Windows())
 		}
-		for w := 0; w < serial.Windows(); w++ {
-			ss, err := serial.Index().Slice(w)
+		for w := 0; w < ref.Windows(); w++ {
+			rs, err := ref.Index().Slice(w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,19 +83,19 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalFloats(ss.SupportCuts(), ps.SupportCuts()) ||
-				!equalFloats(ss.ConfidenceCuts(), ps.ConfidenceCuts()) {
-				t.Errorf("parallelism %d window %d: EPS cuts differ from serial", p, w)
+			if !equalFloats(rs.SupportCuts(), ps.SupportCuts()) ||
+				!equalFloats(rs.ConfidenceCuts(), ps.ConfidenceCuts()) {
+				t.Errorf("parallelism %d window %d: EPS cuts differ from reference", p, w)
 			}
-			if ss.NumLocations() != ps.NumLocations() {
-				t.Errorf("parallelism %d window %d: %d EPS locations, serial has %d",
-					p, w, ps.NumLocations(), ss.NumLocations())
+			if rs.NumLocations() != ps.NumLocations() {
+				t.Errorf("parallelism %d window %d: %d EPS locations, reference has %d",
+					p, w, ps.NumLocations(), rs.NumLocations())
 			}
 		}
 		ctr := f.BuildCounters()
-		if ctr["build_windows"] != int64(serial.Windows()) {
+		if ctr["build_windows"] != int64(ref.Windows()) {
 			t.Errorf("parallelism %d: build_windows counter = %d, want %d",
-				p, ctr["build_windows"], serial.Windows())
+				p, ctr["build_windows"], ref.Windows())
 		}
 	}
 }

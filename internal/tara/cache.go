@@ -1,10 +1,10 @@
 package tara
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
+	"tara/internal/lru"
+	"tara/internal/obs"
 	"tara/internal/rules"
 )
 
@@ -36,7 +36,7 @@ const (
 	classRegion
 	classDiff
 	// classTraj memoizes trajectory aggregate matrices (traj.go). Its keys
-	// use window -1 — outside any committed index, so invalidateWindow never
+	// use window -1 — outside any committed index, so InvalidateWindow never
 	// touches them; entries expire by snapshot-pointer comparison instead.
 	classTraj
 	numQueryClasses
@@ -54,137 +54,76 @@ type cacheKey struct {
 	a, b   uint64
 }
 
-// cutKey packs a (support, confidence) cut-grid index pair.
-func cutKey(si, ci int) uint64 { return uint64(uint32(si))<<32 | uint64(uint32(ci)) }
+// cutKey packs a pair of small non-negative ints — a (support, confidence)
+// cut-grid index pair, or a [from, to] window range — into one key word:
+// the first in the high 32 bits, the second in the low 32.
+func cutKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // diffValue is the cached payload of a Diff/Compare window.
 type diffValue struct {
 	onlyA, onlyB []rules.ID
 }
 
-const cacheShards = 16
+// defaultQueryCacheSize bounds the cache when Config.QueryCacheSize is zero.
+const defaultQueryCacheSize = 4096
 
-// DefaultQueryCacheSize bounds the cache when Config.QueryCacheSize is zero.
-const DefaultQueryCacheSize = 4096
-
-type cacheEntry struct {
-	key cacheKey
-	val any
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	lru   *list.List // front = most recent; values are *cacheEntry
-	byKey map[cacheKey]*list.Element
-}
-
-// queryCache is the sharded LRU. Counters are atomics so CacheStats never
-// contends with the query path beyond the shard mutexes.
+// queryCache is the generic sharded LRU plus per-class hit/miss counters.
+// The counters are atomics so CacheStats never contends with the query path
+// beyond the shard mutexes.
 type queryCache struct {
-	shards      [cacheShards]cacheShard
-	capPerShard int
-	hits        [numQueryClasses]atomic.Uint64
-	misses      [numQueryClasses]atomic.Uint64
-	evictions   atomic.Uint64
+	*lru.Cache[cacheKey, any]
+	hits   [numQueryClasses]atomic.Uint64
+	misses [numQueryClasses]atomic.Uint64
 }
 
 func newQueryCache(size int) *queryCache {
 	if size <= 0 {
-		size = DefaultQueryCacheSize
+		size = defaultQueryCacheSize
 	}
-	per := (size + cacheShards - 1) / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &queryCache{capPerShard: per}
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].byKey = make(map[cacheKey]*list.Element)
-	}
-	return c
+	return &queryCache{Cache: lru.New[cacheKey, any](size, hashCacheKey, func(k cacheKey) int { return int(k.window) })}
 }
 
-// shardFor mixes the key fields so consecutive windows and cuts spread
+// hashCacheKey mixes the key fields so consecutive windows and cuts spread
 // across shards.
-func (c *queryCache) shardFor(k cacheKey) *cacheShard {
+func hashCacheKey(k cacheKey) uint64 {
 	h := uint64(k.window)*0x9E3779B97F4A7C15 + uint64(k.class)*0xBF58476D1CE4E5B9
 	h ^= k.a * 0x94D049BB133111EB
-	h ^= k.b*0xD6E8FEB86659FD93 + (h >> 29)
-	return &c.shards[h%cacheShards]
+	return h ^ (k.b*0xD6E8FEB86659FD93 + (h >> 29))
 }
 
-// get returns the cached value for k and promotes it to most-recent.
+// get returns the cached value for k, promoting it to most-recent, and
+// counts the probe against k's class.
 func (c *queryCache) get(k cacheKey) (any, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	el, ok := sh.byKey[k]
-	var v any
+	v, ok := c.Get(k)
 	if ok {
-		sh.lru.MoveToFront(el)
-		// Read under the lock: put overwrites an existing entry's value in
-		// place (a trajectory aggregate re-stored for a newer snapshot).
-		v = el.Value.(*cacheEntry).val
-	}
-	sh.mu.Unlock()
-	if !ok {
+		c.hits[k.class].Add(1)
+	} else {
 		c.misses[k.class].Add(1)
-		return nil, false
 	}
-	c.hits[k.class].Add(1)
-	return v, true
+	return v, ok
 }
 
-// put stores v under k, evicting the shard's least-recent entry when full.
-func (c *queryCache) put(k cacheKey, v any) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, ok := sh.byKey[k]; ok {
-		el.Value.(*cacheEntry).val = v
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
-		return
+// memoize answers k from the query cache, or on a miss runs compute and
+// stores its result; with the cache disabled it just runs compute. Cache
+// probes record StageCacheProbe spans on tr.
+func memoize[V any](f *Framework, tr *obs.Trace, k cacheKey, compute func() (V, error)) (V, error) {
+	if f.qcache == nil {
+		return compute()
 	}
-	evicted := false
-	if sh.lru.Len() >= c.capPerShard {
-		back := sh.lru.Back()
-		delete(sh.byKey, back.Value.(*cacheEntry).key)
-		sh.lru.Remove(back)
-		evicted = true
+	sp := tr.Start(obs.StageCacheProbe)
+	v, ok := f.qcache.get(k)
+	sp.End()
+	if ok {
+		return v.(V), nil
 	}
-	sh.byKey[k] = sh.lru.PushFront(&cacheEntry{key: k, val: v})
-	sh.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
+	val, err := compute()
+	if err != nil {
+		return val, err
 	}
-}
-
-// invalidateWindow drops every entry cached for window w.
-func (c *queryCache) invalidateWindow(w int) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); e.key.window == int32(w) {
-				delete(sh.byKey, e.key)
-				sh.lru.Remove(el)
-			}
-			el = next
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// entries counts the currently cached results across shards.
-func (c *queryCache) entries() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	sp = tr.Start(obs.StageCacheProbe)
+	f.qcache.Put(k, val)
+	sp.End()
+	return val, nil
 }
 
 // CacheClassStats reports one query class's cache effectiveness.
@@ -221,11 +160,12 @@ func (f *Framework) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	c := f.qcache
+	ls := c.Stats()
 	s := CacheStats{
 		Enabled:   true,
-		Entries:   c.entries(),
-		Capacity:  c.capPerShard * cacheShards,
-		Evictions: c.evictions.Load(),
+		Entries:   ls.Entries,
+		Capacity:  ls.Capacity,
+		Evictions: ls.Evictions,
 		Classes:   make(map[string]CacheClassStats, numQueryClasses),
 	}
 	for cl := queryClass(0); cl < numQueryClasses; cl++ {

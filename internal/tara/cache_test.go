@@ -272,9 +272,9 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 	c := newQueryCache(64)
 	k0 := cacheKey{window: 0, class: classCount, a: cutKey(1, 2)}
 	k1 := cacheKey{window: 1, class: classCount, a: cutKey(1, 2)}
-	c.put(k0, 7)
-	c.put(k1, 9)
-	c.invalidateWindow(1)
+	c.Put(k0, 7)
+	c.Put(k1, 9)
+	c.InvalidateWindow(1)
 	if _, ok := c.get(k1); ok {
 		t.Fatal("window 1 entry survived invalidation")
 	}
@@ -285,15 +285,13 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 
 // TestCacheEviction: the LRU bound holds and evictions are counted.
 func TestCacheEviction(t *testing.T) {
-	c := newQueryCache(cacheShards) // one entry per shard
-	for i := 0; i < 10*cacheShards; i++ {
-		c.put(cacheKey{window: int32(i), class: classMine, a: cutKey(i, i)}, i)
+	c := newQueryCache(1) // one entry per shard
+	capacity := c.Stats().Capacity
+	for i := 0; i < 10*capacity; i++ {
+		c.Put(cacheKey{window: int32(i), class: classMine, a: cutKey(i, i)}, i)
 	}
-	if n := c.entries(); n > cacheShards {
-		t.Fatalf("cache holds %d entries, cap %d", n, cacheShards)
-	}
-	if c.evictions.Load() == 0 {
-		t.Fatal("no evictions recorded")
+	if st := c.Stats(); st.Entries > capacity || st.Evictions == 0 {
+		t.Fatalf("cache holds %d entries (cap %d) after %d evictions", st.Entries, capacity, st.Evictions)
 	}
 }
 

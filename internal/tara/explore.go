@@ -75,27 +75,13 @@ func (f *Framework) mineLocked(tr *obs.Trace, w int, minSupp, minConf float64) (
 	if err != nil {
 		return nil, err
 	}
-	if f.qcache == nil {
-		return f.collectViews(tr, slice, w, minSupp, minConf)
-	}
 	sp := tr.Start(obs.StageCut)
 	si, ci := slice.CutIndex(minSupp, minConf)
 	sp.End()
 	k := cacheKey{window: int32(w), class: classMine, a: cutKey(si, ci)}
-	sp = tr.Start(obs.StageCacheProbe)
-	v, ok := f.qcache.get(k)
-	sp.End()
-	if ok {
-		return v.([]RuleView), nil
-	}
-	views, err := f.collectViews(tr, slice, w, minSupp, minConf)
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.Start(obs.StageCacheProbe)
-	f.qcache.put(k, views)
-	sp.End()
-	return views, nil
+	return memoize(f, tr, k, func() ([]RuleView, error) {
+		return f.collectViews(tr, slice, w, minSupp, minConf)
+	})
 }
 
 // idBufPool recycles the rule-id scratch buffers of the cold mine path: the
@@ -162,32 +148,17 @@ func (f *Framework) CountTraced(tr *obs.Trace, w int, minSupp, minConf float64) 
 			return v.(int), nil
 		}
 		n := slice.Count(minSupp, minConf)
-		f.qcache.put(k, n)
-		return n, nil
-	}
-	if f.qcache == nil {
-		sp := tr.Start(obs.StageEPSLookup)
-		n := slice.Count(minSupp, minConf)
-		sp.End()
+		f.qcache.Put(k, n)
 		return n, nil
 	}
 	sp := tr.Start(obs.StageCut)
 	si, ci := slice.CutIndex(minSupp, minConf)
 	sp.End()
 	k := cacheKey{window: int32(w), class: classCount, a: cutKey(si, ci)}
-	sp = tr.Start(obs.StageCacheProbe)
-	v, ok := f.qcache.get(k)
-	sp.End()
-	if ok {
-		return v.(int), nil
-	}
-	sp = tr.Start(obs.StageEPSLookup)
-	n := slice.Count(minSupp, minConf)
-	sp.End()
-	sp = tr.Start(obs.StageCacheProbe)
-	f.qcache.put(k, n)
-	sp.End()
-	return n, nil
+	return memoize(f, tr, k, func() (int, error) {
+		defer tr.Start(obs.StageEPSLookup).End()
+		return slice.Count(minSupp, minConf), nil
+	})
 }
 
 // MineFiltered is Mine with additional interestingness thresholds beyond
@@ -351,31 +322,17 @@ func (f *Framework) diffLocked(tr *obs.Trace, w int, suppA, confA, suppB, confB 
 	if err != nil {
 		return nil, nil, err
 	}
-	if f.qcache == nil {
-		sp := tr.Start(obs.StageEPSLookup)
-		a, b := slice.Diff(suppA, confA, suppB, confB)
-		sp.End()
-		return a, b, nil
-	}
 	sp := tr.Start(obs.StageCut)
 	siA, ciA := slice.CutIndex(suppA, confA)
 	siB, ciB := slice.CutIndex(suppB, confB)
 	sp.End()
 	k := cacheKey{window: int32(w), class: classDiff, a: cutKey(siA, ciA), b: cutKey(siB, ciB)}
-	sp = tr.Start(obs.StageCacheProbe)
-	v, ok := f.qcache.get(k)
-	sp.End()
-	if ok {
-		d := v.(diffValue)
-		return d.onlyA, d.onlyB, nil
-	}
-	sp = tr.Start(obs.StageEPSLookup)
-	a, b := slice.Diff(suppA, confA, suppB, confB)
-	sp.End()
-	sp = tr.Start(obs.StageCacheProbe)
-	f.qcache.put(k, diffValue{onlyA: a, onlyB: b})
-	sp.End()
-	return a, b, nil
+	d, err := memoize(f, tr, k, func() (diffValue, error) {
+		defer tr.Start(obs.StageEPSLookup).End()
+		a, b := slice.Diff(suppA, confA, suppB, confB)
+		return diffValue{onlyA: a, onlyB: b}, nil
+	})
+	return d.onlyA, d.onlyB, err
 }
 
 // Recommend answers Q3: the time-aware stable region around the request,
@@ -396,12 +353,6 @@ func (f *Framework) RecommendTraced(tr *obs.Trace, w int, minSupp, minConf float
 	if err != nil {
 		return eps.Region{}, err
 	}
-	if f.qcache == nil {
-		sp := tr.Start(obs.StageEPSLookup)
-		reg := slice.Region(minSupp, minConf)
-		sp.End()
-		return reg, nil
-	}
 	// A stable region is itself a function of the cut only: Region derives
 	// every bound from the grid cell around the request, which the cut
 	// indexes identify.
@@ -409,19 +360,10 @@ func (f *Framework) RecommendTraced(tr *obs.Trace, w int, minSupp, minConf float
 	si, ci := slice.CutIndex(minSupp, minConf)
 	sp.End()
 	k := cacheKey{window: int32(w), class: classRegion, a: cutKey(si, ci)}
-	sp = tr.Start(obs.StageCacheProbe)
-	v, ok := f.qcache.get(k)
-	sp.End()
-	if ok {
-		return v.(eps.Region), nil
-	}
-	sp = tr.Start(obs.StageEPSLookup)
-	reg := slice.Region(minSupp, minConf)
-	sp.End()
-	sp = tr.Start(obs.StageCacheProbe)
-	f.qcache.put(k, reg)
-	sp.End()
-	return reg, nil
+	return memoize(f, tr, k, func() (eps.Region, error) {
+		defer tr.Start(obs.StageEPSLookup).End()
+		return slice.Region(minSupp, minConf), nil
+	})
 }
 
 // RollUpRule is one rule of a coarse-period mining answer. Stats are the

@@ -8,10 +8,10 @@ import (
 
 // n-dimensional exploration (Definition 9 beyond the two evaluated
 // parameters): the framework can materialize per-window slices of the
-// (support × confidence × lift) space from the archive and answer mining
-// and stable-region requests over all three measures. ND slices are built
-// lazily from archived counts and cached; they add nothing to the offline
-// phase unless used.
+// (support × confidence × lift) space from the archive and answer
+// stable-region requests over all three measures (/recommend lift=). ND
+// slices are built lazily from archived counts and cached; they add nothing
+// to the offline phase unless used.
 
 // ndSlice returns the cached n-dimensional slice for window w, building it
 // on first use. Callers hold f.mu for reading; ndMu is acquired inside, and
@@ -48,32 +48,6 @@ func (f *Framework) ndSlice(w int) (*eps.SliceND, error) {
 	}
 	f.ndSlices[w] = s
 	return s, nil
-}
-
-// MineND answers a three-measure mining request (support, confidence, lift
-// lower bounds) from the window's n-dimensional parameter-space slice.
-func (f *Framework) MineND(w int, minSupp, minConf, minLift float64) ([]RuleView, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := f.checkGenThresholds(minSupp, minConf); err != nil {
-		return nil, err
-	}
-	s, err := f.ndSlice(w)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := s.Rules([]float64{minSupp, minConf, minLift})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RuleView, len(ids))
-	for i, id := range ids {
-		out[i], err = f.view(id, w)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // RecommendND returns the three-measure stable region around the request:

@@ -19,7 +19,7 @@ type BuildReport struct {
 	Itemsets  int `json:"itemsets"`  // frequent itemsets summed over windows
 	Locations int `json:"locations"` // EPS locations summed over windows
 
-	// Parallelism is the configured build parallelism (1 = serial path).
+	// Parallelism is the build pipeline's workers per parallel pool.
 	Parallelism int `json:"parallelism"`
 
 	Mine    time.Duration `json:"mine_ns"`

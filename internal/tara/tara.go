@@ -41,15 +41,14 @@ type Config struct {
 	// ContentIndex enables the TARA-S per-region rule content index that
 	// accelerates content-based exploration (Q5).
 	ContentIndex bool
-	// Parallelism bounds the number of windows preprocessed concurrently
-	// during Build / AppendWindows. 0 or 1 (and negative values) select the
-	// legacy serial path; values above 1 run the pipelined parallel build
-	// (see build.go), whose on-disk output is byte-identical to serial.
-	// Callers wanting full parallelism pass runtime.GOMAXPROCS(0).
+	// Parallelism is the number of workers in each parallel pool of the
+	// pipelined build (see build.go); values below 1 mean one worker. The
+	// on-disk output is byte-identical at any parallelism. Callers wanting
+	// full parallelism pass runtime.GOMAXPROCS(0).
 	Parallelism int
 	// QueryCacheSize bounds the online query cache (see cache.go): the
 	// number of canonicalized answers memoized across windows and query
-	// classes. Zero selects DefaultQueryCacheSize; negative disables the
+	// classes. Zero selects 4096 entries; negative disables the
 	// cache entirely (every query recollects from the EPS index).
 	QueryCacheSize int
 }
@@ -61,10 +60,10 @@ func (c Config) miner() mining.Miner {
 	return c.Miner
 }
 
-// parallelism normalizes Config.Parallelism: anything below 2 is the serial
-// path.
+// parallelism normalizes Config.Parallelism: anything below 1 is one
+// worker.
 func (c Config) parallelism() int {
-	if c.Parallelism < 2 {
+	if c.Parallelism < 1 {
 		return 1
 	}
 	return c.Parallelism
@@ -79,7 +78,7 @@ type Timing struct {
 	ArchiveTime time.Duration // rule-ID interning + TAR Archive append
 	IndexTime   time.Duration // EPS slice construction
 	// QueueWait is how long the mined window sat waiting for the ordered
-	// commit stages of the parallel build (zero on the serial path): the
+	// commit stages of the pipelined build (zero for AppendRules): the
 	// pipeline's head-of-line latency, not work.
 	QueueWait time.Duration
 	// Commit is the ordered committer's critical section beyond the archive
@@ -108,7 +107,7 @@ type Timing struct {
 
 // Total returns the window's total preprocessing work time. QueueWait is
 // excluded: it is pipeline latency, not work, and including it would make
-// parallel builds look more expensive than serial ones doing identical work.
+// wider builds look more expensive than narrower ones doing identical work.
 func (t Timing) Total() time.Duration {
 	return t.Mine + t.RuleGen + t.ArchiveTime + t.IndexTime + t.Commit
 }
@@ -141,7 +140,7 @@ type Framework struct {
 	windows  []WindowInfo
 	timings  []Timing
 
-	// mu guards the knowledge base: appendMined holds it for writing;
+	// mu guards the knowledge base: commitWindowLocked holds it for writing;
 	// queries hold it for reading. Exported query methods lock it and call
 	// unexported *Locked implementations, never each other, so a goroutine
 	// holds at most one read lock (nested RLock can deadlock with a waiting
@@ -153,7 +152,7 @@ type Framework struct {
 
 	// qcache memoizes canonicalized online answers (see cache.go); nil when
 	// Config.QueryCacheSize is negative. It is internally synchronized —
-	// query paths consult it while holding mu for reading, appendMined
+	// query paths consult it while holding mu for reading, commitWindowLocked
 	// invalidates while holding mu for writing.
 	qcache *queryCache
 
@@ -211,15 +210,14 @@ func New(itemDict *txdb.Dict, cfg Config) *Framework {
 
 // Build partitions the database into count-based batches (numBatches) or,
 // when windowSize > 0, into time-based tumbling windows, and preprocesses
-// every window. It is the offline phase of Figure 2. With Config.Parallelism
-// above 1 the windows flow through the pipelined parallel build (build.go);
-// the knowledge base comes out byte-identical either way.
+// every window. It is the offline phase of Figure 2. The windows flow through
+// the pipelined build (build.go); the knowledge base comes out byte-identical
+// at any Config.Parallelism.
 func Build(db *txdb.DB, windowSize int64, numBatches int, cfg Config) (*Framework, error) {
 	return BuildContext(context.Background(), db, windowSize, numBatches, cfg)
 }
 
-// BuildContext is Build with cancellation: ctx aborts the build between
-// windows (serial path) or cancels the whole worker pool (parallel path),
+// BuildContext is Build with cancellation: ctx cancels the whole worker pool,
 // returning the context's error. On failure the partially built framework is
 // discarded, matching Build's all-or-nothing contract.
 func BuildContext(ctx context.Context, db *txdb.DB, windowSize int64, numBatches int, cfg Config) (*Framework, error) {
@@ -249,36 +247,11 @@ type mined struct {
 	timing  Timing
 }
 
-// AppendWindows preprocesses a batch of windows and extends the knowledge
-// base in window order. With Config.Parallelism above 1 the batch runs
-// through the pipelined parallel build (build.go); otherwise windows are
-// processed one at a time. Either way the committed knowledge base is
-// byte-identical, failed builds keep the consistent committed prefix, and
-// ctx cancellation aborts cleanly with no goroutines left behind.
-func (f *Framework) AppendWindows(ctx context.Context, ws []txdb.Window) error {
-	if f.cfg.parallelism() > 1 && len(ws) > 1 {
-		return f.appendWindowsPipeline(ctx, ws)
-	}
-	for _, w := range ws {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := f.AppendWindow(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AppendWindow preprocesses one new window and extends the knowledge base —
 // the incremental construction path (iPARAS): arriving batches are absorbed
 // without reprocessing history. The window's index must equal Windows().
 func (f *Framework) AppendWindow(w txdb.Window) error {
-	m, err := f.mineWindow(w)
-	if err != nil {
-		return err
-	}
-	return f.appendMined(m)
+	return f.AppendWindows(context.Background(), []txdb.Window{w})
 }
 
 // mineWindow runs the Association Generator for one window: frequent
@@ -308,25 +281,6 @@ func (f *Framework) mineWindow(w txdb.Window) (mined, error) {
 	m.timing.Window = w.Index
 	m.ruleSet = rs
 	return m, nil
-}
-
-// appendMined interns rules, builds the window's EPS slice and commits the
-// window — the serial path. The pipelined build performs the same three
-// steps in its sequencer / EPS / committer stages; both funnel into
-// commitWindow, and both intern ids and append archive records in the same
-// order, which is what keeps the knowledge base byte-identical across paths.
-func (f *Framework) appendMined(m mined) error {
-	start := time.Now()
-	ids := f.internRules(m.ruleSet)
-	m.timing.ArchiveTime = time.Since(start)
-
-	start = time.Now()
-	slice, err := f.buildSlice(m.window, ids)
-	if err != nil {
-		return err
-	}
-	m.timing.IndexTime = time.Since(start)
-	return f.commitWindow(m, ids, slice)
 }
 
 // internRules resolves the window's rules to dense ids, in ruleSet order.
@@ -402,7 +356,7 @@ func (f *Framework) commitWindowLocked(m mined, ids []eps.IDStats, slice *eps.Sl
 		// Windows are append-only, so no stale entry for this index can
 		// exist; invalidating anyway keeps "cached == fresh scan" a local
 		// invariant rather than a global argument about construction order.
-		f.qcache.invalidateWindow(w.Index)
+		f.qcache.InvalidateWindow(w.Index)
 	}
 	m.timing.Commit += time.Since(start)
 	f.recordBuildTiming(m.timing)
@@ -414,13 +368,20 @@ func (f *Framework) commitWindowLocked(m mined, ids []eps.IDStats, slice *eps.Sl
 // directly from the provided per-rule statistics. It serves ingestion paths
 // where rules arrive from an external miner, and the online-query benchmarks
 // that need large, precisely shaped parameter-space slices. The window's
-// index must equal Windows(), like AppendWindow.
+// index must equal Windows(), like AppendWindow. The pipeline's sequencer,
+// EPS and committer steps run inline.
 func (f *Framework) AppendRules(w txdb.Window, rs []rules.WithStats) error {
-	return f.appendMined(mined{
-		window:  w,
-		ruleSet: rs,
-		timing:  Timing{Window: w.Index, NumRules: len(rs)},
-	})
+	m := mined{window: w, ruleSet: rs, timing: Timing{Window: w.Index, NumRules: len(rs)}}
+	start := time.Now()
+	ids := f.internRules(rs)
+	m.timing.ArchiveTime = time.Since(start)
+	start = time.Now()
+	slice, err := f.buildSlice(w, ids)
+	if err != nil {
+		return err
+	}
+	m.timing.IndexTime = time.Since(start)
+	return f.commitWindow(m, ids, slice)
 }
 
 // OnAppend registers fn to run after every window commit, with the framework
@@ -452,18 +413,17 @@ func (f *Framework) notifyAppend(w int) {
 func (f *Framework) Generation() uint64 { return f.genCtr.Load() }
 
 // CanonicalCut maps a request point in window w to its stable region's
-// canonical cut-grid indexes (Definition 12) — the memoization key Lemma 4
-// licenses, exposed so response-level caches can canonicalize before
-// hashing.
-func (f *Framework) CanonicalCut(w int, minSupp, minConf float64) (si, ci int, err error) {
+// canonical cut (Definition 12), the cut-grid index pair packed into one key
+// word — the memoization key Lemma 4 licenses, exposed so response-level
+// caches can canonicalize before hashing.
+func (f *Framework) CanonicalCut(w int, minSupp, minConf float64) (uint64, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	slice, err := f.index.Slice(w)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	si, ci = slice.CutIndex(minSupp, minConf)
-	return si, ci, nil
+	return cutKey(slice.CutIndex(minSupp, minConf)), nil
 }
 
 // Windows returns the number of processed windows.

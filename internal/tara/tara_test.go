@@ -913,37 +913,6 @@ func TestMineFiltered(t *testing.T) {
 	}
 }
 
-func TestMineNDMatchesFilteredMine(t *testing.T) {
-	f := build(t, defaultCfg())
-	for _, q := range []struct{ s, c, l float64 }{
-		{0.05, 0.2, 0},
-		{0.05, 0.2, 1.0},
-		{0.05, 0.2, 1.5},
-		{0.1, 0.4, 2.0},
-	} {
-		want, err := f.MineFiltered(0, q.s, q.c, q.l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.MineND(0, q.s, q.c, q.l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("(%g,%g,%g): ND %d rules, filtered %d", q.s, q.c, q.l, len(got), len(want))
-		}
-		ids := map[rules.ID]bool{}
-		for _, v := range want {
-			ids[v.ID] = true
-		}
-		for _, v := range got {
-			if !ids[v.ID] {
-				t.Fatalf("ND produced unexpected rule %d", v.ID)
-			}
-		}
-	}
-}
-
 func TestRecommendND(t *testing.T) {
 	f := build(t, defaultCfg())
 	reg, err := f.RecommendND(0, 0.05, 0.2, 1.2)
@@ -953,12 +922,12 @@ func TestRecommendND(t *testing.T) {
 	if len(reg.Low) != 3 || len(reg.Measures) != 3 {
 		t.Fatalf("region shape: %+v", reg)
 	}
-	base, err := f.MineND(0, 0.05, 0.2, 1.2)
+	base, err := f.MineFiltered(0, 0.05, 0.2, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reg.NumRules != len(base) {
-		t.Errorf("region rules %d, MineND %d", reg.NumRules, len(base))
+		t.Errorf("region rules %d, lift-filtered mine %d", reg.NumRules, len(base))
 	}
 	// Probe inside the cell: same answer.
 	probe := make([]float64, 3)
@@ -970,7 +939,7 @@ func TestRecommendND(t *testing.T) {
 		probe[d] = (reg.Low[d] + hi) / 2
 	}
 	if probe[0] >= f.cfg.GenMinSupport && probe[1] >= f.cfg.GenMinConf {
-		got, err := f.MineND(0, probe[0], probe[1], probe[2])
+		got, err := f.MineFiltered(0, probe[0], probe[1], probe[2])
 		if err != nil {
 			t.Fatal(err)
 		}

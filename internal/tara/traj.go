@@ -58,11 +58,6 @@ type trajAggValue struct {
 	aggs []traj.Aggregates
 }
 
-// trajRangeKey packs a window range for the query cache.
-func trajRangeKey(from, to int) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
 // trajAggregatesLocked returns the per-rule aggregate matrix over [from, to],
 // memoized in the query cache under (range, eps): different /topk parameter
 // settings over the same range share one columnar pass. Callers hold f.mu
@@ -74,7 +69,7 @@ func (f *Framework) trajAggregatesLocked(tr *obs.Trace, s *traj.Snapshot, from, 
 		sp.End()
 		return aggs, err
 	}
-	k := cacheKey{window: -1, class: classTraj, a: trajRangeKey(from, to), b: math.Float64bits(eps)}
+	k := cacheKey{window: -1, class: classTraj, a: cutKey(from, to), b: math.Float64bits(eps)}
 	sp := tr.Start(obs.StageCacheProbe)
 	v, ok := f.qcache.get(k)
 	sp.End()
@@ -89,7 +84,7 @@ func (f *Framework) trajAggregatesLocked(tr *obs.Trace, s *traj.Snapshot, from, 
 	if err != nil {
 		return nil, err
 	}
-	f.qcache.put(k, trajAggValue{snap: s, aggs: aggs})
+	f.qcache.Put(k, trajAggValue{snap: s, aggs: aggs})
 	return aggs, nil
 }
 

@@ -100,12 +100,6 @@ func (db *DB) Add(time int64, names ...string) {
 	db.Tx = append(db.Tx, Transaction{Time: time, Items: itemset.Canonicalize(items)})
 }
 
-// AddItems appends a transaction of already-encoded items. The items are
-// canonicalized in place.
-func (db *DB) AddItems(time int64, items itemset.Set) {
-	db.Tx = append(db.Tx, Transaction{Time: time, Items: itemset.Canonicalize(items)})
-}
-
 // Len returns the number of transactions.
 func (db *DB) Len() int { return len(db.Tx) }
 
@@ -175,11 +169,11 @@ type Window struct {
 	Tx     []Transaction
 }
 
-// MaxWindows bounds how many tumbling windows a partitioning may produce.
+// maxWindows bounds how many tumbling windows a partitioning may produce.
 // A sparse database with a tiny window size would otherwise materialize one
 // Window struct per empty time slot — an easy way to exhaust memory from a
 // single bad parameter.
-const MaxWindows = 1 << 22
+const maxWindows = 1 << 22
 
 // PartitionByTime splits the database into consecutive tumbling windows of
 // the given size (in time units), starting at the earliest timestamp. Empty
@@ -192,7 +186,7 @@ const MaxWindows = 1 << 22
 // producing empty or single-window partitions: an empty database, a window
 // size exceeding the timestamp span (which cannot partition anything), and a
 // window size so small the covered range would explode into more than
-// MaxWindows windows.
+// maxWindows windows.
 func (db *DB) PartitionByTime(windowSize int64) ([]Window, error) {
 	if windowSize <= 0 {
 		return nil, fmt.Errorf("txdb: window size must be positive, got %d", windowSize)
@@ -208,9 +202,9 @@ func (db *DB) PartitionByTime(windowSize int64) ([]Window, error) {
 		return nil, fmt.Errorf("txdb: window size %d exceeds the timestamp span %d ([%d,%d]); the database cannot be partitioned at that granularity",
 			windowSize, span, start, end)
 	}
-	if (end-start)/windowSize >= MaxWindows {
+	if (end-start)/windowSize >= maxWindows {
 		return nil, fmt.Errorf("txdb: window size %d over span [%d,%d] would produce %d windows (limit %d)",
-			windowSize, start, end, (end-start)/windowSize+1, MaxWindows)
+			windowSize, start, end, (end-start)/windowSize+1, maxWindows)
 	}
 	n := int((end-start)/windowSize) + 1
 	windows := make([]Window, n)
