@@ -297,7 +297,7 @@ func TestAIMDBoundsProperty(t *testing.T) {
 // classes, and checks the admission block on /metrics JSON and the
 // Prometheus exposition (including conformance of the new series).
 func TestAdaptiveServerEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 8, MinLimit: 2, ByteCacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 8, MinLimit: 2, ByteCacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -422,7 +422,7 @@ func TestAdmissionLimitFloor(t *testing.T) {
 // TestSmallestLimitAdmitsEveryClass: at the smallest accepted limit an idle
 // server admits one request of each QoS class.
 func TestSmallestLimitAdmitsEveryClass(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: numQoSClasses, ByteCacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: numQoSClasses, ByteCacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for _, p := range []string{
@@ -490,9 +490,9 @@ func TestAdmissionToleranceRejected(t *testing.T) {
 // bounds. Run with -race.
 func TestAdaptiveShedOrderingConsistency(t *testing.T) {
 	s := newTestServer(t, Config{
-		MinLimit:      2,
-		MaxInFlight:   4,
-		ByteCacheSize: -1,
+		MinLimit:       2,
+		MaxInFlight:    4,
+		ByteCacheBytes: -1,
 	})
 	s.delay = func(string) { time.Sleep(200 * time.Microsecond) }
 	ts := httptest.NewServer(s.Handler())
@@ -569,7 +569,7 @@ func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 	usage := buf.String()
 	for _, flagName := range []string{
 		"-addr", "-maxinflight", "-queuewait", "-minlimit",
-		"-timeout", "-bytecache", "-gzip", "-slowtraces", "-mmap",
+		"-timeout", "-cachebytes", "-gzip", "-slowtraces", "-mmap",
 	} {
 		if !strings.Contains(usage, fmt.Sprintf("\n  %s ", flagName)) &&
 			!strings.Contains(usage, fmt.Sprintf("\n  %s\n", flagName)) {
@@ -581,7 +581,7 @@ func TestDaemonUsageListsAdmissionFlags(t *testing.T) {
 			t.Errorf("usage output missing default %q", def)
 		}
 	}
-	for _, gone := range []string{"-admissionwindow", "-admissiontolerance"} {
+	for _, gone := range []string{"-admissionwindow", "-admissiontolerance", "-bytecache", "-gzipmin"} {
 		if strings.Contains(usage, gone) {
 			t.Errorf("usage output still lists %s:\n%s", gone, usage)
 		}

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"context"
 	"net/http"
+	"net/url"
 	"testing"
+
+	"tara/internal/query"
 )
 
 // discardRW drops the body and keeps one header map across requests, so
@@ -83,5 +87,60 @@ func TestWarmPathAllocations(t *testing.T) {
 				t.Errorf("warm encoded /mine hit: %v allocs/op, want <= %d", n, warmEncodedAllocs)
 			}
 		})
+	}
+}
+
+// TestColdEncodeExactSize: a cold encode of a large streamed answer
+// allocates about one body — the exact-size copy out of the pooled scratch
+// buffer — rather than a chain of doubling buffers, and the identity and
+// gzip bodies it leaves in the byte cache carry no spare capacity.
+func TestColdEncodeExactSize(t *testing.T) {
+	fw := testFramework(t)
+	q, err := query.FromValues("mine", url.Values{"w": {"0"}, "supp": {"0.02"}, "conf": {"0.2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := query.Answer(fw, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res.(query.Streamer); !ok {
+		t.Fatalf("/mine answer %T does not stream", res)
+	}
+	body, err := encodeBody(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) < 100<<10 {
+		t.Fatalf("body of %d bytes; the check needs an answer of at least 100 KB", len(body))
+	}
+	if cap(body) != len(body) {
+		t.Errorf("identity body: cap %d, len %d", cap(body), len(body))
+	}
+
+	s := newTestServer(t, Config{GzipMinBytes: 1})
+	e := &byteCacheEntry{key: byteCacheKey{class: byteMine}, etag: `"0"`, body: body}
+	s.bcache.put(e)
+	gz, ok := s.gzipVariant(context.Background(), e)
+	if !ok {
+		t.Fatal("no gzip variant derived")
+	}
+	if cap(gz.body) != len(gz.body) {
+		t.Errorf("gzip body: cap %d, len %d", cap(gz.body), len(gz.body))
+	}
+
+	if raceEnabled {
+		return // the race detector allocates; byte counts mean nothing under it
+	}
+	perOp := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := encodeBody(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}).AllocedBytesPerOp()
+	if limit := int64(len(body)) + 8<<10; perOp > limit {
+		t.Errorf("cold encode of a %d-byte body allocates %d B/op, want <= %d", len(body), perOp, limit)
 	}
 }

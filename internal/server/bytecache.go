@@ -101,18 +101,30 @@ func pageKey(limit, offset int) uint64 {
 	return uint64(uint32(offset))<<32 | uint64(uint32(limit))
 }
 
-// defaultByteCacheSize bounds the cache when Config.ByteCacheSize is zero.
-const defaultByteCacheSize = 2048
+// defaultByteCacheBytes is the cache's byte budget when
+// Config.ByteCacheBytes is zero. A revisit working set of a few hundred
+// distinct answers, gzip variants included, is a few megabytes.
+const defaultByteCacheBytes = 16 << 20
+
+// entryOverhead is what an entry costs beyond its variable-length bytes: the
+// entry struct, the LRU node holding it and its map slot, about 300 B on a
+// 64-bit platform.
+const entryOverhead = 320
 
 type byteCacheEntry struct {
 	key  byteCacheKey
 	etag string
-	body []byte // immutable after store; includes the trailing newline
+	body []byte // immutable after store; includes the trailing newline; cap == len
 }
 
-// byteCache is the generic sharded LRU over encoded responses plus the
-// server-side counters. The write/read ordering discipline matters for
-// snapshots — see the comments on get and stats.
+// cost charges an entry its resident bytes.
+func (e *byteCacheEntry) cost() int64 {
+	return int64(len(e.body)+len(e.etag)+len(e.key.ref)) + entryOverhead
+}
+
+// byteCache is the generic sharded LRU over encoded responses, charged in
+// bytes, plus the server-side counters. The write/read ordering discipline
+// matters for snapshots — see the comments on get and stats.
 type byteCache struct {
 	lru *lru.Cache[byteCacheKey, *byteCacheEntry]
 
@@ -127,11 +139,13 @@ type byteCache struct {
 	coalesced atomic.Uint64
 }
 
-func newByteCache(size int) *byteCache {
-	if size <= 0 {
-		size = defaultByteCacheSize
+// newByteCache returns a cache of at most budget resident bytes; zero
+// selects defaultByteCacheBytes.
+func newByteCache(budget int64) *byteCache {
+	if budget == 0 {
+		budget = defaultByteCacheBytes
 	}
-	return &byteCache{lru: lru.New[byteCacheKey, *byteCacheEntry](size, hashByteCacheKey, func(k byteCacheKey) int { return int(k.window) })}
+	return &byteCache{lru: lru.New[byteCacheKey, *byteCacheEntry](budget, (*byteCacheEntry).cost, hashByteCacheKey, func(k byteCacheKey) int { return int(k.window) })}
 }
 
 // hashByteCacheKey mixes the key fields so consecutive windows and cuts
@@ -156,7 +170,8 @@ func (c *byteCache) get(k byteCacheKey) (*byteCacheEntry, bool) {
 
 // put stores an encoded response; its body must never be mutated after this
 // call. Same key means same bytes (the key is a lossless function of the
-// body), so a resident entry is kept and only its recency refreshed.
+// body), so a resident entry is kept and only its recency refreshed. An
+// entry over one shard's share of the budget is not stored.
 func (c *byteCache) put(e *byteCacheEntry) {
 	if _, ok := c.lru.Peek(e.key); !ok {
 		c.lru.Put(e.key, e)
@@ -166,14 +181,16 @@ func (c *byteCache) put(e *byteCacheEntry) {
 // invalidateWindow drops every encoded response cached for window w; other
 // windows' entries are untouched. Registered with Framework.OnAppend.
 func (c *byteCache) invalidateWindow(w int) {
-	c.invalidations.Add(uint64(c.lru.InvalidateWindow(w)))
+	n, _ := c.lru.InvalidateWindow(w)
+	c.invalidations.Add(uint64(n))
 }
 
 // ByteCacheStats is the /metrics view of the encoded-response cache.
 type ByteCacheStats struct {
 	Enabled       bool    `json:"enabled"`
 	Entries       int     `json:"entries"`
-	Capacity      int     `json:"capacity"`
+	Bytes         int64   `json:"bytes"`
+	CapacityBytes int64   `json:"capacityBytes"`
 	Requests      uint64  `json:"requests"`
 	Hits          uint64  `json:"hits"`
 	Misses        uint64  `json:"misses"`
@@ -202,7 +219,8 @@ func (c *byteCache) stats() ByteCacheStats {
 	s := ByteCacheStats{
 		Enabled:       true,
 		Entries:       ls.Entries,
-		Capacity:      ls.Capacity,
+		Bytes:         ls.Cost,
+		CapacityBytes: ls.Budget,
 		Hits:          ls.Hits,
 		Misses:        ls.Misses,
 		NotModified:   c.notModified.Load(),

@@ -46,8 +46,8 @@ func getWithHeaders(t *testing.T, base, path string, hdr map[string]string) (int
 // under -race this doubles as the cache's data-race check.
 func TestByteCacheDifferential(t *testing.T) {
 	fw := testFramework(t)
-	cached := newTestServer(t, Config{MinLimit: fixedCap})                   // byte cache on (default size)
-	plain := newTestServer(t, Config{ByteCacheSize: -1, MinLimit: fixedCap}) // byte cache off
+	cached := newTestServer(t, Config{MinLimit: fixedCap})                    // byte cache on (default size)
+	plain := newTestServer(t, Config{ByteCacheBytes: -1, MinLimit: fixedCap}) // byte cache off
 	tsCached := httptest.NewServer(cached.Handler())
 	defer tsCached.Close()
 	tsPlain := httptest.NewServer(plain.Handler())
@@ -222,14 +222,14 @@ func TestByteCacheETagAndNotModified(t *testing.T) {
 	}
 }
 
-// TestByteCacheDisabled: a negative ByteCacheSize must leave the cache out of
+// TestByteCacheDisabled: a negative ByteCacheBytes must leave the cache out of
 // the pipeline entirely — no ETag headers, no response-cache metrics.
 func TestByteCacheDisabled(t *testing.T) {
-	s := newTestServer(t, Config{ByteCacheSize: -1})
+	s := newTestServer(t, Config{ByteCacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if s.bcache != nil {
-		t.Fatal("bcache constructed despite ByteCacheSize=-1")
+		t.Fatal("bcache constructed despite ByteCacheBytes=-1")
 	}
 	code, _, hdr := getWithHeaders(t, ts.URL, "/mine?w=0&supp=0.02&conf=0.2", nil)
 	if code != http.StatusOK {
@@ -292,7 +292,7 @@ func TestByteCacheInvalidationOnAppend(t *testing.T) {
 	s := newTestServer(t, Config{Framework: serving})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	so := newTestServer(t, Config{Framework: oracle, ByteCacheSize: -1})
+	so := newTestServer(t, Config{Framework: oracle, ByteCacheBytes: -1})
 	tso := httptest.NewServer(so.Handler())
 	defer tso.Close()
 
@@ -372,7 +372,8 @@ func TestByteCacheInvalidationOnAppend(t *testing.T) {
 // TestByteCacheStatsOrderingUnderLoad snapshots the response-cache counters
 // while concurrent clients drive cacheable traffic and asserts the ordering
 // invariants — hits <= requests and hits+misses <= requests — hold in every
-// mid-flight snapshot. Run under -race this also exercises the snapshot path
+// mid-flight snapshot, and that /metrics then reports resident bytes within
+// the byte budget. Run under -race this also exercises the snapshot path
 // against concurrent counter updates.
 func TestByteCacheStatsOrderingUnderLoad(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -423,6 +424,17 @@ func TestByteCacheStatsOrderingUnderLoad(t *testing.T) {
 			if st := s.bcache.stats(); st.Hits == 0 {
 				t.Fatalf("load test never hit the cache: %+v", st)
 			}
+			var m struct {
+				ResponseCache ByteCacheStats `json:"responseCache"`
+			}
+			if code, body := get(t, ts.URL, "/metrics"); code != http.StatusOK {
+				t.Fatalf("/metrics status %d: %s", code, body)
+			} else if err := json.Unmarshal(body, &m); err != nil {
+				t.Fatal(err)
+			}
+			if rc := m.ResponseCache; rc.Bytes == 0 || rc.Bytes > rc.CapacityBytes || rc.CapacityBytes != defaultByteCacheBytes {
+				t.Fatalf("/metrics responseCache holds %d bytes of %d, want 0 < bytes <= capacityBytes = %d", rc.Bytes, rc.CapacityBytes, defaultByteCacheBytes)
+			}
 			return
 		default:
 		}
@@ -430,20 +442,26 @@ func TestByteCacheStatsOrderingUnderLoad(t *testing.T) {
 }
 
 // TestByteCacheLRUAndSameKeyPut: unit coverage for the shard mechanics —
-// the LRU bound holds with evictions counted, and a same-key put keeps the
-// resident entry (the key is a lossless function of the body).
+// the byte budget holds with evictions counted and every resident entry
+// charged its bytes, and a same-key put keeps the resident entry (the key
+// is a lossless function of the body).
 func TestByteCacheLRUAndSameKeyPut(t *testing.T) {
-	c := newByteCache(1) // one entry per shard
-	capacity := c.stats().Capacity
-	for i := 0; i < 10*capacity; i++ {
-		c.put(&byteCacheEntry{
+	c := newByteCache(16 << 10) // 1 KiB per shard: a few small entries each
+	var e *byteCacheEntry
+	for i := 0; i < 1000; i++ {
+		e = &byteCacheEntry{
 			key:  byteCacheKey{class: byteMine, window: int32(i), cut: uint64(i)},
 			etag: fmt.Sprintf("%q", fmt.Sprintf("%016x", i)),
 			body: []byte("{}\n"),
-		})
+		}
+		c.put(e)
 	}
-	if st := c.stats(); st.Entries > capacity || st.Evictions == 0 {
-		t.Fatalf("cache holds %d entries (cap %d) after %d evictions", st.Entries, capacity, st.Evictions)
+	st := c.stats()
+	if st.Bytes > st.CapacityBytes || st.Evictions == 0 {
+		t.Fatalf("cache holds %d bytes (capacity %d) after %d evictions", st.Bytes, st.CapacityBytes, st.Evictions)
+	}
+	if st.Bytes != int64(st.Entries)*e.cost() {
+		t.Fatalf("%d equal-sized entries of %d bytes charged %d bytes", st.Entries, e.cost(), st.Bytes)
 	}
 
 	k := byteCacheKey{class: byteCount, window: 7, cut: 12}

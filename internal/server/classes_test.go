@@ -74,7 +74,7 @@ func TestRuleIDAndPairErrorsHTTP(t *testing.T) {
 func TestRankByteCacheOnOff(t *testing.T) {
 	on := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer on.Close()
-	off := httptest.NewServer(newTestServer(t, Config{ByteCacheSize: -1}).Handler())
+	off := httptest.NewServer(newTestServer(t, Config{ByteCacheBytes: -1}).Handler())
 	defer off.Close()
 	ranked := 0
 	for _, by := range []string{"stability", "coverage", "volatility"} {

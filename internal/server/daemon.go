@@ -35,9 +35,8 @@ func Run(args []string, stderr io.Writer) error {
 		qwait    = fs.Duration("queuewait", 0, "max time a request may queue for an in-flight slot before 429 (0 = shed immediately)")
 		pprofOn  = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowN    = fs.Int("slowtraces", 32, "slowest request traces retained for /debug/slow")
-		bcache   = fs.Int("bytecache", 0, "encoded-response byte cache entries (0 = default, -1 = disabled)")
-		gzipOn   = fs.Bool("gzip", true, "store and serve gzip-precompressed variants of cached responses")
-		gzipMin  = fs.Int("gzipmin", 0, "smallest response body (bytes) to gzip (0 = default 1024)")
+		cacheB   = fs.Int64("cachebytes", 0, "encoded-response byte cache budget in bytes (0 = default 16 MiB, -1 = disabled)")
+		gzipOn   = fs.Bool("gzip", true, "store and serve gzip-precompressed variants of cached responses of at least 1 KiB")
 		drain    = fs.Duration("drain", 15*time.Second, "max time to drain in-flight requests on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +76,7 @@ func Run(args []string, stderr io.Writer) error {
 		)
 	}
 
-	gzMin := *gzipMin
+	gzMin := 0 // the 1 KiB default
 	if !*gzipOn {
 		gzMin = -1
 	}
@@ -90,7 +89,7 @@ func Run(args []string, stderr io.Writer) error {
 		QueueWait:      *qwait,
 		EnablePprof:    *pprofOn,
 		SlowTraces:     *slowN,
-		ByteCacheSize:  *bcache,
+		ByteCacheBytes: *cacheB,
 		GzipMinBytes:   gzMin,
 		KBLoadMode:     fw.LoadMode(),
 		KBLoadMillis:   kbLoadMillis,

@@ -391,6 +391,8 @@ func TestPrometheusExposition(t *testing.T) {
 		`tarad_request_duration_seconds_count{endpoint="mine"} 6`,
 		`tarad_stage_duration_seconds_bucket{stage="decode",`,
 		"tarad_query_cache_hits_total",
+		"tarad_response_cache_bytes ",
+		"tarad_response_cache_capacity_bytes 1.6777216e+07",
 		"tarad_uptime_seconds",
 		"tarad_kb_load_millis",
 		`tarad_kb_load_info{mode="` + s.fw.LoadMode() + `"} 1`,

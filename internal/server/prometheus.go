@@ -58,6 +58,8 @@ func (r *registry) writePrometheus(w http.ResponseWriter) {
 		writeCounter(w, "tarad_response_cache_invalidations_total", "Encoded responses dropped by per-window invalidation.", float64(bs.Invalidations))
 		writeCounter(w, "tarad_response_cache_coalesced_total", "Requests that joined another request's in-progress encode instead of encoding themselves.", float64(bs.Coalesced))
 		writeGauge(w, "tarad_response_cache_entries", "Encoded-response cache resident entries.", float64(bs.Entries))
+		writeGauge(w, "tarad_response_cache_bytes", "Encoded-response cache resident bytes, gzip variants and per-entry overhead included.", float64(bs.Bytes))
+		writeGauge(w, "tarad_response_cache_capacity_bytes", "Encoded-response cache byte budget.", float64(bs.CapacityBytes))
 	}
 
 	if r.trajStats != nil {

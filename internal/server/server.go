@@ -88,6 +88,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -138,11 +139,12 @@ type Config struct {
 	// SlowTraces sizes the ring of slowest request traces kept for
 	// /debug/slow. Non-positive selects 32.
 	SlowTraces int
-	// ByteCacheSize bounds the encoded-response byte cache (see
-	// bytecache.go): the number of pre-encoded JSON bodies kept for the
-	// cacheable query classes. Zero selects 2048 entries; negative
-	// disables the cache (every response is encoded per request).
-	ByteCacheSize int
+	// ByteCacheBytes bounds the encoded-response byte cache (see
+	// bytecache.go): the resident bytes of the pre-encoded JSON bodies
+	// kept for the cacheable query classes, gzip variants included. Zero
+	// selects 16 MiB; negative disables the cache (every response is
+	// encoded per request).
+	ByteCacheBytes int64
 	// GzipMinBytes sets the smallest cached body that gets a
 	// gzip-precompressed variant negotiated via Accept-Encoding. Zero
 	// selects 1024 bytes; negative disables gzip variants
@@ -176,7 +178,7 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *registry
 	// bcache serves pre-encoded response bytes for the cacheable query
-	// classes; nil when Config.ByteCacheSize is negative.
+	// classes; nil when Config.ByteCacheBytes is negative.
 	bcache *byteCache
 	// flights coalesces concurrent encodes (and gzip derivations) of one
 	// byte-cache key.
@@ -274,8 +276,8 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.admission = s.ctrl.snapshot
 	// Registered only once New can no longer fail, so a rejected Config
 	// leaves no hook on the framework.
-	if cfg.ByteCacheSize >= 0 {
-		s.bcache = newByteCache(cfg.ByteCacheSize)
+	if cfg.ByteCacheBytes >= 0 {
+		s.bcache = newByteCache(cfg.ByteCacheBytes)
 		// Invalidate encoded bytes for a window the moment it commits, the
 		// same per-window discipline as the framework's query cache.
 		s.fw.OnAppend(s.bcache.invalidateWindow)
@@ -624,18 +626,20 @@ func (s *Server) gzipVariant(ctx context.Context, e *byteCacheEntry) (*byteCache
 		if gz, ok := s.bcache.lru.Peek(gzKey); ok && gz.etag == want {
 			return gz, "", 0
 		}
-		var buf bytes.Buffer
-		zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-		if err == nil {
-			_, err = zw.Write(e.body)
-		}
-		if cerr := zw.Close(); err == nil {
-			err = cerr
-		}
+		body, err := exactCopy(func(buf *bytes.Buffer) error {
+			zw, err := gzip.NewWriterLevel(buf, gzip.BestSpeed)
+			if err != nil {
+				return err
+			}
+			if _, err := zw.Write(e.body); err != nil {
+				return err
+			}
+			return zw.Close()
+		})
 		if err != nil {
 			return nil, err.Error(), 0
 		}
-		gz := &byteCacheEntry{key: gzKey, etag: want, body: buf.Bytes()}
+		gz := &byteCacheEntry{key: gzKey, etag: want, body: body}
 		if id, resident := s.bcache.lru.Peek(e.key); resident && id.etag == e.etag {
 			s.bcache.put(gz)
 		}
@@ -670,21 +674,42 @@ func acceptsGzip(hdr string) bool {
 }
 
 // encodeBody renders res exactly as writeResult would put it on the wire:
-// streamed when the result supports it, one json.Marshal plus the trailing
-// newline otherwise.
+// streamed when the result supports it, one json.Encoder pass otherwise.
+// The body is an exact-size copy (cap == len), ready to store.
 func encodeBody(res any) ([]byte, error) {
-	if sr, ok := res.(query.Streamer); ok {
-		var buf bytes.Buffer
-		if err := sr.StreamJSON(&buf); err != nil {
-			return nil, err
+	return exactCopy(func(buf *bytes.Buffer) error {
+		if sr, ok := res.(query.Streamer); ok {
+			return sr.StreamJSON(buf)
 		}
-		return buf.Bytes(), nil
-	}
-	body, err := json.Marshal(res)
-	if err != nil {
+		return json.NewEncoder(buf).Encode(res)
+	})
+}
+
+// scratchPool holds the buffers cached bodies are written into before
+// exactCopy copies them out. A buffer grown past maxPooledScratch is left to
+// the collector, so one outsized answer does not stay pinned in the pool.
+var scratchPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledScratch = 1 << 20
+
+// exactCopy runs fill on a pooled scratch buffer and returns what it wrote
+// as a fresh slice with cap == len. A body grown by doubling in its own
+// buffer would carry up to half its length again in spare capacity for as
+// long as it stays cached; here the copy is the only body-sized allocation.
+func exactCopy(fill func(*bytes.Buffer) error) ([]byte, error) {
+	buf := scratchPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledScratch {
+			scratchPool.Put(buf)
+		}
+	}()
+	if err := fill(buf); err != nil {
 		return nil, err
 	}
-	return append(body, '\n'), nil
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	return body, nil
 }
 
 // tracedBody is the ?debug=trace response envelope: the normal result plus

@@ -401,7 +401,7 @@ func TestMetricsQueryCache(t *testing.T) {
 	fw := testFramework(t)
 	// The byte cache would absorb the warm repeats before they reach the
 	// framework; disable it so this test keeps exercising the query cache.
-	s := newTestServer(t, Config{ByteCacheSize: -1})
+	s := newTestServer(t, Config{ByteCacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -23,7 +23,7 @@ import (
 // latency.count <= requests, because requests is bumped on handler entry and
 // outcome counters are loaded before requests.
 func TestShedOrderingConsistency(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 2, ByteCacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 2, ByteCacheBytes: -1})
 	s.delay = func(string) { time.Sleep(200 * time.Microsecond) }
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -93,7 +93,7 @@ func TestShedOrderingConsistency(t *testing.T) {
 // TestInFlightGauge parks one request inside the handler and watches the
 // per-endpoint gauge rise to 1 and fall back to 0 after release.
 func TestInFlightGauge(t *testing.T) {
-	s := newTestServer(t, Config{ByteCacheSize: -1})
+	s := newTestServer(t, Config{ByteCacheBytes: -1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s.delay = func(string) {
@@ -134,7 +134,7 @@ func TestQueueWaitAdmission(t *testing.T) {
 	// park inside the handler until release is closed; it returns once both
 	// hold their slot, with a channel that yields their statuses.
 	holdSlots := func(t *testing.T, queueWait time.Duration) (s *Server, url string, release chan struct{}, done chan int) {
-		s = newTestServer(t, Config{MaxInFlight: slots, QueueWait: queueWait, ByteCacheSize: -1})
+		s = newTestServer(t, Config{MaxInFlight: slots, QueueWait: queueWait, ByteCacheBytes: -1})
 		entered := make(chan struct{}, slots)
 		release = make(chan struct{})
 		var held atomic.Int32

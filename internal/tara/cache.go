@@ -80,7 +80,10 @@ func newQueryCache(size int) *queryCache {
 	if size <= 0 {
 		size = defaultQueryCacheSize
 	}
-	return &queryCache{Cache: lru.New[cacheKey, any](size, hashCacheKey, func(k cacheKey) int { return int(k.window) })}
+	// Every entry costs 1, so the budget is an entry count. A byte charge
+	// waits until the trajectory aggregate memo (classTraj), which is tens of
+	// megabytes over a few dozen entries, has moved out of this cache.
+	return &queryCache{Cache: lru.New[cacheKey, any](int64(size), func(any) int64 { return 1 }, hashCacheKey, func(k cacheKey) int { return int(k.window) })}
 }
 
 // hashCacheKey mixes the key fields so consecutive windows and cuts spread
@@ -164,7 +167,7 @@ func (f *Framework) CacheStats() CacheStats {
 	s := CacheStats{
 		Enabled:   true,
 		Entries:   ls.Entries,
-		Capacity:  ls.Capacity,
+		Capacity:  int(ls.Budget),
 		Evictions: ls.Evictions,
 		Classes:   make(map[string]CacheClassStats, numQueryClasses),
 	}

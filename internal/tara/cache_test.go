@@ -285,8 +285,8 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 
 // TestCacheEviction: the LRU bound holds and evictions are counted.
 func TestCacheEviction(t *testing.T) {
-	c := newQueryCache(1) // one entry per shard
-	capacity := c.Stats().Capacity
+	c := newQueryCache(1)             // one entry per shard
+	capacity := int(c.Stats().Budget) // every entry costs 1
 	for i := 0; i < 10*capacity; i++ {
 		c.Put(cacheKey{window: int32(i), class: classMine, a: cutKey(i, i)}, i)
 	}
