@@ -86,44 +86,6 @@ func TestCutIndexCanonicalization(t *testing.T) {
 	}
 }
 
-func TestAcceleratedNDMatchScan(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 30; trial++ {
-		n := uint32(20 + r.Intn(120))
-		rs := randomIDStats(r, n, 1+r.Intn(120))
-		s, err := BuildSliceND(0, n, rs, StandardMeasures())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for probe := 0; probe < 30; probe++ {
-			mins := []float64{r.Float64(), r.Float64(), r.Float64() * 3}
-			got, err := s.Rules(mins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := s.ScanRules(mins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: ND Rules(%v)=%d ids, scan %d", trial, mins, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: ND Rules(%v) diverges at %d", trial, mins, i)
-				}
-			}
-			c, err := s.Count(mins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c != len(want) {
-				t.Fatalf("trial %d: ND Count(%v)=%d, want %d", trial, mins, c, len(want))
-			}
-		}
-	}
-}
-
 func TestAcceleratedEmptySlice(t *testing.T) {
 	s, err := BuildSlice(0, 10, nil, Options{})
 	if err != nil {

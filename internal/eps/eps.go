@@ -26,11 +26,6 @@ type Location struct {
 	itemIdx         map[itemset.Item][]rules.ID
 }
 
-// Dominates reports whether a location at (s1,c1) dominates (s2,c2):
-// component-wise s1 <= s2 and c1 <= c2 (Definition 13 compares cut
-// locations; a lower cut admits a superset of rules).
-func Dominates(s1, c1, s2, c2 float64) bool { return s1 <= s2 && c1 <= c2 }
-
 // Region is a time-aware stable region (Definition 11): a box in the
 // parameter plane within which every (minsupp, minconf) setting produces the
 // same ruleset. Bounds are half-open on the low side: the region covers

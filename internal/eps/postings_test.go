@@ -9,6 +9,33 @@ import (
 	"tara/internal/rules"
 )
 
+// decodePostings decodes an untrusted posting stream into rule ids, strictly:
+// the query path goes through Postings.AppendTo, which trusts the build-time
+// streams.
+func decodePostings(b []byte) ([]rules.ID, error) {
+	var out []rules.ID
+	for len(b) > 0 {
+		var n int
+		var err error
+		out, n, err = decodeSegment(out, b)
+		if err != nil {
+			return nil, err
+		}
+		b = b[n:]
+	}
+	return out, nil
+}
+
+// encodePostings encodes per-location id lists into one posting stream, the
+// inverse of decoding segment by segment.
+func encodePostings(segs [][]rules.ID) []byte {
+	var out []byte
+	for _, ids := range segs {
+		out = appendLocationSegment(out, ids)
+	}
+	return out
+}
+
 // randomSlice builds a slice from random rule statistics, the same
 // construction the differential cache tests use: nLocs distinct-ish count
 // pairs under one N, several rules per location.
@@ -126,10 +153,10 @@ func TestDecodePostingsRoundTrip(t *testing.T) {
 			segs[i] = ids
 			want = append(want, ids...)
 		}
-		enc := EncodePostings(segs)
-		got, err := DecodePostings(enc)
+		enc := encodePostings(segs)
+		got, err := decodePostings(enc)
 		if err != nil {
-			t.Fatalf("DecodePostings(EncodePostings): %v", err)
+			t.Fatalf("decodePostings(encodePostings): %v", err)
 		}
 		if !idsEqual(got, want) {
 			t.Fatalf("round trip mismatch: got %v want %v", got, want)
@@ -138,7 +165,7 @@ func TestDecodePostingsRoundTrip(t *testing.T) {
 }
 
 func TestDecodePostingsRejectsMalformed(t *testing.T) {
-	valid := EncodePostings([][]rules.ID{{1, 5, 9}, {2}})
+	valid := encodePostings([][]rules.ID{{1, 5, 9}, {2}})
 	cases := map[string][]byte{
 		"truncated count":      {0x80},
 		"truncated first id":   {2, 0x80},
@@ -150,18 +177,18 @@ func TestDecodePostingsRejectsMalformed(t *testing.T) {
 		"valid then truncated": append(append([]byte{}, valid...), 3, 1),
 	}
 	for name, b := range cases {
-		if _, err := DecodePostings(b); err == nil {
-			t.Errorf("%s: DecodePostings accepted %v", name, b)
+		if _, err := decodePostings(b); err == nil {
+			t.Errorf("%s: decodePostings accepted %v", name, b)
 		}
 	}
 	// Every strict prefix of a valid stream that is not a segment boundary
 	// must be rejected; boundary prefixes decode to a prefix of the ids.
-	want, err := DecodePostings(valid)
+	want, err := decodePostings(valid)
 	if err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}
 	for cut := 0; cut < len(valid); cut++ {
-		got, err := DecodePostings(valid[:cut])
+		got, err := decodePostings(valid[:cut])
 		if err != nil {
 			continue
 		}

@@ -109,23 +109,21 @@ func render(w io.Writer, q Query, res any) error {
 		}
 
 	case RegionResult:
-		fmt.Fprintln(w, eps.Region{
+		fmt.Fprint(w, eps.Region{
 			Window:  res.Window,
 			LowSupp: res.LowSupp, HighSupp: res.HighSupp,
 			LowConf: res.LowConf, HighConf: res.HighConf,
 			CutSupp: res.CutSupp, CutConf: res.CutConf,
 			Empty: res.Empty, NumRules: res.NumRules,
 		})
-
-	case RegionNDResult:
-		fmt.Fprintf(w, "window %d: stable for", res.Window)
-		for d, name := range res.Measures {
-			if d > 0 {
-				fmt.Fprint(w, ",")
+		if res.Lift != nil {
+			high := "+Inf)"
+			if res.Lift.High != nil {
+				high = fmt.Sprintf("%.6g]", *res.Lift.High)
 			}
-			fmt.Fprintf(w, " %s in (%.6g,%.6g]", name, res.Low[d], res.High[d])
+			fmt.Fprintf(w, " lift(%.6g,%s", res.Lift.Low, high)
 		}
-		fmt.Fprintf(w, " — %d rules\n", res.NumRules)
+		fmt.Fprintln(w)
 
 	case RollUpResult:
 		fmt.Fprintf(w, "%d rules over windows [%d,%d] at (supp>=%g, conf>=%g)%s\n", res.Total, res.From, res.To, q.MinSupp, q.MinConf, pageNote(q, res.Offset, res.Count))

@@ -1,6 +1,9 @@
 package query
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzParse checks the query parser never panics and that parsed queries
 // carry the requested kind.
@@ -12,5 +15,29 @@ func FuzzParse(f *testing.F) {
 	f.Add("about w=0 supp=0 conf=0 items=,")
 	f.Fuzz(func(t *testing.T, line string) {
 		_, _ = Parse(line)
+	})
+}
+
+// FuzzAnswerEncodes checks every answer the daemon could be asked for
+// survives json.Marshal: a float encoding/json refuses (±Inf, NaN) would
+// reach the client as a 200 with a truncated body. The seeds are the golden
+// lines, which include a lift filter above every rule.
+func FuzzAnswerEncodes(f *testing.F) {
+	for _, line := range goldenLines {
+		f.Add(line)
+	}
+	fw := buildFramework(f)
+	f.Fuzz(func(t *testing.T, line string) {
+		q, err := Parse(line)
+		if err != nil || q.Kind == Export {
+			return
+		}
+		res, err := Answer(fw, q)
+		if err != nil {
+			return
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
 	})
 }

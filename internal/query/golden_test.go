@@ -30,6 +30,7 @@ var goldenLines = []string{
 	"recommend w=0 supp=0.05 conf=0.2",
 	"region w=1 supp=1 conf=1",
 	"recommend w=0 supp=0.05 conf=0.2 lift=1.2",
+	"recommend w=0 supp=0.05 conf=0.2 lift=100",
 	"rollup from=0 to=3 supp=0.05 conf=0.2",
 	"rollup from=1 to=2 supp=0.01 conf=0.05 limit=4 offset=3",
 	"rollup from=0 to=3 supp=0.9 conf=0.9",

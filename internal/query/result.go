@@ -78,27 +78,28 @@ type DiffResult struct {
 }
 
 // RegionResult answers recommend requests (Q3): the time-aware stable region.
+// A request with a lift filter adds Lift, and NumRules and Empty then count
+// the rules that pass the filter.
 type RegionResult struct {
-	Window   int     `json:"window"`
-	Empty    bool    `json:"empty"`
-	LowSupp  float64 `json:"lowSupp"`
-	HighSupp float64 `json:"highSupp"`
-	LowConf  float64 `json:"lowConf"`
-	HighConf float64 `json:"highConf"`
-	CutSupp  float64 `json:"cutSupp"`
-	CutConf  float64 `json:"cutConf"`
-	NumRules int     `json:"numRules"`
+	Window   int         `json:"window"`
+	Empty    bool        `json:"empty"`
+	LowSupp  float64     `json:"lowSupp"`
+	HighSupp float64     `json:"highSupp"`
+	LowConf  float64     `json:"lowConf"`
+	HighConf float64     `json:"highConf"`
+	CutSupp  float64     `json:"cutSupp"`
+	CutConf  float64     `json:"cutConf"`
+	NumRules int         `json:"numRules"`
+	Lift     *LiftBounds `json:"lift,omitempty"`
 }
 
-// RegionNDResult answers recommend requests with a lift bound: the
-// n-dimensional stable box.
-type RegionNDResult struct {
-	Window   int       `json:"window"`
-	Empty    bool      `json:"empty"`
-	Measures []string  `json:"measures"`
-	Low      []float64 `json:"low"`
-	High     []float64 `json:"high"`
-	NumRules int       `json:"numRules"`
+// LiftBounds is the lift interval (Low, High] of a filtered recommend answer:
+// every lift filter in it, at every point of the 2-D region, selects the same
+// rules. High is nil (JSON null) when no rule reaches the filter, since then
+// every larger filter selects none either.
+type LiftBounds struct {
+	Low  float64  `json:"low"`
+	High *float64 `json:"high"`
 }
 
 // RollUpRow is one rule of a coarse-period answer.
@@ -340,25 +341,11 @@ func AnswerTraced(f *tara.Framework, q Query, tr *obs.Trace) (any, error) {
 		return res, nil
 
 	case Recommend:
-		if q.MinLift > 0 {
-			reg, err := f.RecommendND(q.Window, q.MinSupp, q.MinConf, q.MinLift)
-			if err != nil {
-				return nil, err
-			}
-			return RegionNDResult{
-				Window:   reg.Window,
-				Empty:    reg.Empty,
-				Measures: reg.Measures,
-				Low:      reg.Low,
-				High:     reg.High,
-				NumRules: reg.NumRules,
-			}, nil
-		}
 		reg, err := f.RecommendTraced(tr, q.Window, q.MinSupp, q.MinConf)
 		if err != nil {
 			return nil, err
 		}
-		return RegionResult{
+		res := RegionResult{
 			Window:   reg.Window,
 			Empty:    reg.Empty,
 			LowSupp:  reg.LowSupp,
@@ -368,7 +355,16 @@ func AnswerTraced(f *tara.Framework, q Query, tr *obs.Trace) (any, error) {
 			CutSupp:  reg.CutSupp,
 			CutConf:  reg.CutConf,
 			NumRules: reg.NumRules,
-		}, nil
+		}
+		if q.MinLift > 0 {
+			views, err := f.MineFilteredTraced(tr, q.Window, q.MinSupp, q.MinConf, 0)
+			if err != nil {
+				return nil, err
+			}
+			res.Lift, res.NumRules = liftBounds(views, q.MinLift)
+			res.Empty = res.NumRules == 0
+		}
+		return res, nil
 
 	case RollUp:
 		out, err := f.MineRollUp(q.From, q.To, q.MinSupp, q.MinConf)
@@ -550,4 +546,25 @@ func measureByName(name string) (tara.EvolutionMeasure, error) {
 	default:
 		return 0, fmt.Errorf("query: unknown measure %q (want stability, coverage or volatility)", name)
 	}
+}
+
+// liftBounds turns a lift filter into an interval over the 2-D stable
+// region. views is the unfiltered answer, which Lemma 4 fixes across the
+// region. No rule's lift lies strictly between Low (the largest lift below
+// minLift, or 0) and High (the smallest at or above it), so every filter in
+// (Low, High] keeps the same rules. n counts the rules minLift keeps.
+func liftBounds(views []tara.RuleView, minLift float64) (b *LiftBounds, n int) {
+	b = &LiftBounds{}
+	for _, v := range views {
+		l := v.Lift()
+		if l < minLift {
+			b.Low = max(b.Low, l)
+			continue
+		}
+		n++
+		if b.High == nil || l < *b.High {
+			b.High = &l
+		}
+	}
+	return b, n
 }

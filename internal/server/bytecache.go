@@ -30,10 +30,9 @@ import (
 // is defensive, but it keeps "a cached body always equals a fresh encode"
 // locally checkable.
 //
-// Cacheable classes are the single-window, cut-determined ones: mine (the
-// lift filter rides along in the key as raw float bits, the limit/offset
-// page in the page field), count, and recommend without a lift bound (the
-// ND recommend path depends on more than the 2-D cut). Diff spans multiple
+// Cacheable classes are the single-window, cut-determined ones: mine and
+// recommend (the lift filter rides along in the key as raw float bits, mine's
+// limit/offset page in the page field) and count. Diff spans multiple
 // windows with per-window cuts and stays on the query cache only.
 //
 // The trajectory classes (topk, similar, emerging) cache too, under their
@@ -76,7 +75,7 @@ const (
 // byteCacheKey identifies one encoded response. cut is the canonical cut
 // (Framework.CanonicalCut) — or, for the trajectory classes, the range's
 // first window (window holds its last);
-// lift carries math.Float64bits of the mine lift filter (trajectory: the
+// lift carries math.Float64bits of the lift filter (trajectory: the
 // minSupp threshold bits) so distinct filters never share bytes; page packs
 // the limit/offset pagination (pageKey layout) so each page caches
 // independently; enc is the content coding of the stored body. x and ref
@@ -239,24 +238,18 @@ func (c *byteCache) stats() ByteCacheStats {
 // reports the request not byte-cacheable; the returned query is the one to
 // execute on a miss (identical to the input except for emerging's resolved
 // to, which must match the key). Single-window classes key on the canonical
-// cut (plus the lift filter bits); a recommend with a lift bound answers
-// from the ND region path and is excluded. Trajectory classes key on their
-// raw parameters over an already-committed window range.
+// cut (plus the lift filter bits). Trajectory classes key on their raw
+// parameters over an already-committed window range.
 func (s *Server) byteCacheKeyFor(q query.Query) (byteCacheKey, query.Query, bool) {
 	var class byteClass
-	lift := uint64(0)
 	page := uint64(0)
 	switch q.Kind {
 	case query.Mine:
 		class = byteMine
-		lift = math.Float64bits(q.MinLift)
 		page = pageKey(q.Limit, q.Offset)
 	case query.Count:
 		class = byteCount
 	case query.Recommend:
-		if q.MinLift > 0 {
-			return byteCacheKey{}, q, false
-		}
 		class = byteRecommend
 	case query.TopK, query.Similar, query.Emerging:
 		return s.trajByteCacheKey(q)
@@ -269,7 +262,7 @@ func (s *Server) byteCacheKeyFor(q query.Query) (byteCacheKey, query.Query, bool
 		// error response (errors are not cached).
 		return byteCacheKey{}, q, false
 	}
-	return byteCacheKey{class: class, window: int32(q.Window), cut: cut, lift: lift, page: page}, q, true
+	return byteCacheKey{class: class, window: int32(q.Window), cut: cut, lift: math.Float64bits(q.MinLift), page: page}, q, true
 }
 
 // trajByteCacheKey keys a trajectory query. The key is a lossless function

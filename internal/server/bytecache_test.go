@@ -55,16 +55,16 @@ func TestByteCacheDifferential(t *testing.T) {
 
 	item := url.QueryEscape(anItemName(t, fw))
 	paths := []string{
-		// Byte-cacheable classes: mine (with and without a lift filter),
-		// count, recommend without lift.
+		// Byte-cacheable classes: mine and recommend (with and without a
+		// lift filter), count.
 		"/mine?w=0&supp=0.02&conf=0.2",
 		"/mine?w=1&supp=0.02&conf=0.2&lift=1.1",
 		"/count?w=0&supp=0.02&conf=0.2",
 		"/count?w=2&supp=0.05&conf=0.3",
 		"/recommend?w=1&supp=0.02&conf=0.2",
-		// Not byte-cacheable: ND recommend, multi-window and content classes
-		// must flow through the normal path identically.
 		"/recommend?w=1&supp=0.02&conf=0.2&lift=1.1",
+		// Not byte-cacheable: multi-window and content classes must flow
+		// through the normal path identically.
 		"/trajectory?w=0&supp=0.02&conf=0.2&in=0,1,2,3",
 		"/diff?w=0,1,2,3&a=0.02,0.2&b=0.05,0.3",
 		"/rollup?from=0&to=3&supp=0.02&conf=0.2",
@@ -205,7 +205,7 @@ func TestByteCacheETagAndNotModified(t *testing.T) {
 	// Non-cacheable classes and the trace debug path carry no ETag.
 	for _, p := range []string{
 		"/diff?w=0,1,2,3&a=0.02,0.2&b=0.05,0.3",
-		"/recommend?w=1&supp=0.02&conf=0.2&lift=1.1",
+		"/rollup?from=0&to=3&supp=0.02&conf=0.2",
 		path + "&debug=trace",
 	} {
 		code, _, hdr := getWithHeaders(t, ts.URL, p, nil)
@@ -219,6 +219,40 @@ func TestByteCacheETagAndNotModified(t *testing.T) {
 
 	if st := s.bcache.stats(); st.NotModified < 3 {
 		t.Fatalf("notModified counter = %d, want >= 3: %+v", st.NotModified, st)
+	}
+}
+
+// TestRecommendLiftAboveEveryRule: a lift filter above every rule's lift has
+// no upper end to its stable interval. That end must encode as JSON null
+// (encoding/json refuses +Inf), so the answer is a parseable empty region
+// whether it is served through the byte cache or not.
+func TestRecommendLiftAboveEveryRule(t *testing.T) {
+	const path = "/recommend?w=0&supp=0.02&conf=0.2&lift=1000"
+	for _, cacheBytes := range []int64{0, -1} {
+		s := newTestServer(t, Config{ByteCacheBytes: cacheBytes})
+		ts := httptest.NewServer(s.Handler())
+		code, body, hdr := getWithHeaders(t, ts.URL, path, nil)
+		ts.Close()
+		if code != http.StatusOK {
+			t.Fatalf("ByteCacheBytes=%d: status %d: %s", cacheBytes, code, body)
+		}
+		var got struct {
+			NumRules int            `json:"numRules"`
+			Lift     map[string]any `json:"lift"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("ByteCacheBytes=%d: body %q is not JSON: %v", cacheBytes, body, err)
+		}
+		high, ok := got.Lift["high"]
+		if !ok || high != nil {
+			t.Errorf("ByteCacheBytes=%d: lift %s, want a null high end", cacheBytes, body)
+		}
+		if got.NumRules != 0 {
+			t.Errorf("ByteCacheBytes=%d: numRules = %d, want 0", cacheBytes, got.NumRules)
+		}
+		if tag := hdr.Get("ETag"); (tag != "") != (cacheBytes >= 0) {
+			t.Errorf("ByteCacheBytes=%d: ETag %q", cacheBytes, tag)
+		}
 	}
 }
 

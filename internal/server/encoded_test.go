@@ -83,9 +83,9 @@ func TestGzipIdentityDifferential(t *testing.T) {
 		"/mine?w=0&supp=0.02&conf=0.2&limit=5&offset=5",
 		"/count?w=0&supp=0.02&conf=0.2",
 		"/recommend?w=1&supp=0.02&conf=0.2",
+		"/recommend?w=1&supp=0.02&conf=0.2&lift=1.1",
 		// Non-cacheable classes: served identity-coded either way, but the
 		// differential must still hold.
-		"/recommend?w=1&supp=0.02&conf=0.2&lift=1.1",
 		"/trajectory?w=0&supp=0.02&conf=0.2&in=0,1,2,3",
 		"/trajectory?w=0&supp=0.02&conf=0.2&in=0,1,2,3&limit=3",
 		"/diff?w=0,1,2,3&a=0.02,0.2&b=0.05,0.3",

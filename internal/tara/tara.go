@@ -147,9 +147,6 @@ type Framework struct {
 	// writer).
 	mu sync.RWMutex
 
-	ndMu     sync.Mutex // guards the lazy n-dimensional slice cache
-	ndSlices map[int]*eps.SliceND
-
 	// qcache memoizes canonicalized online answers (see cache.go); nil when
 	// Config.QueryCacheSize is negative. It is internally synchronized —
 	// query paths consult it while holding mu for reading, commitWindowLocked
